@@ -56,6 +56,13 @@ def _conflict_model(names: str) -> ConflictModel:
     )
 
 
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative number of seconds, got {text}")
+    return value
+
+
 def _cmd_compile(args: argparse.Namespace) -> int:
     try:
         formula = files.read_formula(Path(args.formula).read_text())
@@ -99,7 +106,7 @@ def _cmd_solve2dir(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load_instance(args.map, args.agents)
     model = _conflict_model(args.conflicts)
-    budget = SearchBudget(max_states=args.budget)
+    budget = SearchBudget(max_states=args.budget, max_seconds=args.timeout)
     if args.mode == "indopt":
         witness = exists_individually_optimal(instance, model, budget)
     elif args.mode == "makespan-le":
@@ -133,8 +140,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_delta(args: argparse.Namespace) -> int:
     instance = _load_instance(args.map, args.agents)
     model = _conflict_model(args.conflicts)
+    budget = SearchBudget(max_states=args.budget, max_seconds=args.timeout)
     try:
-        value = delta(instance, model, SearchBudget(max_states=args.budget))
+        value = delta(instance, model, budget)
     except NoSolutionError:
         print("INFEASIBLE")
         return EXIT_NO
@@ -229,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("flowtime", "makespan"))
     p.add_argument("--conflicts", default="vertex,edge")
     p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument("--timeout", type=_seconds, metavar="SECONDS", help="wall-time budget")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle)
 
@@ -237,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("agents")
     p.add_argument("--conflicts", default="vertex,edge")
     p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument("--timeout", type=_seconds, metavar="SECONDS", help="wall-time budget")
     p.set_defaults(func=_cmd_delta)
 
     p = sub.add_parser("verify", help="validate a solution file or a compiled layout")

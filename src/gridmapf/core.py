@@ -11,10 +11,10 @@ origin at the top-left.  "Up" therefore means ``row - 1``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 
 class Cell(NamedTuple):
@@ -97,6 +97,11 @@ class DirectionSet:
     def ordered(self) -> tuple[Direction, ...]:
         """Member directions in canonical order."""
         return tuple(d for d in MOTION_DIRECTIONS if d in self.moves)
+
+    @cached_property
+    def _steps(self) -> tuple[tuple[int, int], ...]:
+        """(dcol, drow) of ``ordered()``, computed once: Enum access is slow."""
+        return tuple((d.dcol, d.drow) for d in self.ordered())
 
     def __contains__(self, d: Direction) -> bool:
         return d in self.moves
@@ -323,29 +328,119 @@ def neighbors(grid: GridMap, cell: Cell, dirs: DirectionSet) -> list[Cell]:
     return result
 
 
+class _GridKernel:
+    """A grid lowered to row-major integer cell ids, ``row * width + col``.
+
+    Holds a ``bytearray`` free mask, neighbour tuples built once per
+    direction set, and BFS distance fields over the ids (negative where
+    unreached).  Fields are memoized, shared with callers, who must not
+    mutate them, and dropped with the kernel, which lives for one public
+    call only, so no field stays resident between calls.
+    """
+
+    def __init__(self, grid: GridMap) -> None:
+        self.width, self.height = w, h = grid.width, grid.height
+        self.free = bytearray(b"\x01") * (w * h)
+        for cell in grid.obstacles:
+            self.free[cell.row * w + cell.col] = 0
+        self._tables: dict[tuple[frozenset[Direction], bool], list[tuple[int, ...]]] = {}
+        self._fields: dict[tuple[frozenset[Direction], int, bool], tuple[list[int], list[int]]] = {}
+
+    def cid(self, cell: Cell) -> int:
+        return cell.row * self.width + cell.col
+
+    def cell(self, cid: int) -> Cell:
+        return Cell(cid % self.width, cid // self.width)
+
+    def at(self, field: list[int], cell: Cell) -> Optional[int]:
+        """The field's value at ``cell``; None off the grid or where unreached."""
+        if not (0 <= cell.col < self.width and 0 <= cell.row < self.height):
+            return None
+        d = field[cell.row * self.width + cell.col]
+        return d if d >= 0 else None
+
+    def neighbours(self, dirs: DirectionSet, reverse: bool = False) -> list[tuple[int, ...]]:
+        """Per cell id, the free ids one move away under ``dirs`` (or, with
+        ``reverse``, one move back), in canonical direction order."""
+        key = (dirs.moves, reverse)
+        table = self._tables.get(key)
+        if table is None:
+            w, free, n = self.width, self.free, len(self.free)
+            sign = -1 if reverse else 1
+            # (id offset, column step); a row step off the grid leaves 0..n-1.
+            steps = [(sign * (dr * w + dc), sign * dc) for dc, dr in dirs._steps]
+            table = [()] * n
+            for cid in range(n):
+                if free[cid]:
+                    col = cid % w
+                    near = []
+                    for off, dc in steps:
+                        nxt = cid + off
+                        if 0 <= col + dc < w and 0 <= nxt < n and free[nxt]:
+                            near.append(nxt)
+                    table[cid] = tuple(near)
+            self._tables[key] = table
+        return table
+
+    def _field(self, source: int, dirs: DirectionSet, reverse: bool) -> tuple[list[int], list[int]]:
+        key = (dirs.moves, source, reverse)
+        got = self._fields.get(key)
+        if got is None:
+            table = self.neighbours(dirs, reverse)
+            dist = [-1] * len(table)
+            got = self._fields[key] = (dist, _bfs(table, source, dist))
+        return got
+
+    def dist_to(self, goal: int, dirs: DirectionSet) -> list[int]:
+        """Move count from every cell to ``goal`` under ``dirs``."""
+        return self._field(goal, dirs, True)[0]
+
+    def dist_from(self, start: int, dirs: DirectionSet) -> list[int]:
+        """Move count from ``start`` to every cell under ``dirs``."""
+        return self._field(start, dirs, False)[0]
+
+    def reached_from(self, start: int, dirs: DirectionSet) -> list[int]:
+        """The ids reachable from ``start`` under ``dirs``, in BFS order."""
+        return self._field(start, dirs, False)[1]
+
+    def dist_to_avoiding(self, goal: int, dirs: DirectionSet, blocked: Iterable[int]) -> list[int]:
+        """``dist_to`` with the ``blocked`` ids treated as obstacles (not memoized)."""
+        table = self.neighbours(dirs, reverse=True)
+        dist = [-1] * len(table)
+        for cid in blocked:
+            dist[cid] = -2
+        if dist[goal] == -1:
+            _bfs(table, goal, dist)
+        return dist
+
+
+def _bfs(table: list[tuple[int, ...]], source: int, dist: list[int]) -> list[int]:
+    """Breadth-first search from ``source`` over ``table``, writing move counts
+    into the entries of ``dist`` that hold -1; returns the ids reached in order."""
+    dist[source] = 0
+    order = [source]
+    for cur in order:
+        d = dist[cur] + 1
+        for nxt in table[cur]:
+            if dist[nxt] == -1:
+                dist[nxt] = d
+                order.append(nxt)
+    return order
+
+
 def shortest_dist_field(grid: GridMap, goal: Cell, dirs: DirectionSet) -> dict[Cell, int]:
     """Exact move count from every free cell to ``goal`` under ``dirs``.
 
     Cells absent from the returned mapping cannot reach the goal.  Computed
     by BFS from the goal over reversed moves; waits never shorten a path and
-    are ignored.
+    are ignored.  The mapping is new on every call and lists cells in BFS
+    order.
     """
     if not grid.is_free(goal):
         raise ValueError(f"goal {goal} is not a free cell of the grid")
-    reverse = [
-        Direction((-d.dcol, -d.drow)) for d in dirs.ordered()
-    ]
-    dist = {goal: 0}
-    queue = deque([goal])
-    while queue:
-        cur = queue.popleft()
-        d0 = dist[cur]
-        for d in reverse:
-            prev = d.apply(cur)
-            if prev not in dist and grid.is_free(prev):
-                dist[prev] = d0 + 1
-                queue.append(prev)
-    return dist
+    kernel = _GridKernel(grid)
+    dist, order = kernel._field(kernel.cid(goal), dirs, True)
+    return {kernel.cell(cid): dist[cid] for cid in order}
 
 
 def _team_assignment_ok(instance: Instance, solution: Solution) -> Optional[str]:
@@ -473,11 +568,11 @@ def validate_solution(
 def lower_bound_cost(instance: Instance) -> Optional[int]:
     """Sum of the agents' individually optimal path lengths, or None if some
     agent cannot reach its goal at all."""
+    kernel = _GridKernel(instance.grid)
     total = 0
     for agent in instance.agents:
-        field_map = shortest_dist_field(instance.grid, agent.goal, instance.directions)
-        d = field_map.get(agent.start)
-        if d is None:
+        d = kernel.dist_to(kernel.cid(agent.goal), instance.directions)[kernel.cid(agent.start)]
+        if d < 0:
             return None
         total += d
     return total

@@ -192,14 +192,6 @@ class NestingForest:
             cur = self.parent[cur]
         return False
 
-    def ancestors(self, cid: int) -> list[int]:
-        chain = []
-        cur = self.parent[cid]
-        while cur is not None:
-            chain.append(cur)
-            cur = self.parent[cur]
-        return chain
-
 
 def _contains(
     a: Clause, b: Clause, order: dict[int, int]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -23,6 +22,7 @@ from .core import (
     Solution,
     TimedPath,
     VERTEX_EDGE,
+    _GridKernel,
     lower_bound_cost,
 )
 
@@ -42,6 +42,10 @@ class SearchBudget:
     max_states: int = 5_000_000
     max_seconds: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.max_seconds is not None and self.max_seconds < 0:
+            raise ValueError(f"max_seconds must not be negative, got {self.max_seconds}")
+
 
 DEFAULT_BUDGET = SearchBudget()
 
@@ -58,7 +62,7 @@ class _BudgetClock:
     def __init__(self, budget: SearchBudget) -> None:
         self.max_states = budget.max_states
         self.deadline = (
-            time.perf_counter() + budget.max_seconds if budget.max_seconds else None
+            None if budget.max_seconds is None else time.perf_counter() + budget.max_seconds
         )
         self.expanded = 0
 
@@ -72,70 +76,35 @@ class _BudgetClock:
 
 
 class _Compiled:
-    """Instance lowered to integer cell ids with per-agent distance data."""
+    """Instance lowered to integer cell ids with per-agent distance data.
 
-    def __init__(self, instance: Instance) -> None:
-        grid = instance.grid
-        w, h = grid.width, grid.height
+    Takes the kernel of the instance's grid, so that callers deciding many
+    instances on one grid share its neighbour tables and goal fields.
+    """
+
+    def __init__(self, instance: Instance, kernel: Optional[_GridKernel] = None) -> None:
+        kernel = kernel or _GridKernel(instance.grid)
+        dirs = instance.directions
         self.instance = instance
-        self.width = w
-        free = [True] * (w * h)
-        for cell in grid.obstacles:
-            free[cell.row * w + cell.col] = False
-        self.free = free
+        self.cell = kernel.cell
+        self.nbr = kernel.neighbours(dirs)
+        self.starts = tuple(kernel.cid(a.start) for a in instance.agents)
+        self.goals = tuple(kernel.cid(a.goal) for a in instance.agents)
+        self.dist = [kernel.dist_to(goal, dirs) for goal in self.goals]
 
-        dirs = instance.directions.ordered()
-        deltas = []
-        for d in dirs:
-            deltas.append((d.dcol, d.drow))
-        nbr: list[tuple[int, ...]] = []
-        rev: list[tuple[int, ...]] = []
-        rev_deltas = [(-dc, -dr) for dc, dr in deltas]
-        for cid in range(w * h):
-            col, row = cid % w, cid // w
-            if not free[cid]:
-                nbr.append(())
-                rev.append(())
-                continue
-            fw = []
-            bw = []
-            for dc, dr in deltas:
-                c2, r2 = col + dc, row + dr
-                if 0 <= c2 < w and 0 <= r2 < h and free[r2 * w + c2]:
-                    fw.append(r2 * w + c2)
-            for dc, dr in rev_deltas:
-                c2, r2 = col + dc, row + dr
-                if 0 <= c2 < w and 0 <= r2 < h and free[r2 * w + c2]:
-                    bw.append(r2 * w + c2)
-            nbr.append(tuple(fw))
-            rev.append(tuple(bw))
-        self.nbr = nbr
+    @property
+    def lower_bound(self) -> Optional[int]:
+        """Sum of the agents' goal distances, or None if a goal is out of reach."""
+        lengths = [dist[start] for dist, start in zip(self.dist, self.starts)]
+        return None if min(lengths, default=0) < 0 else sum(lengths)
 
-        self.starts = tuple(a.start.row * w + a.start.col for a in instance.agents)
-        self.goals = tuple(a.goal.row * w + a.goal.col for a in instance.agents)
-        self.dist: list[list[int]] = []
-        self.desc: list[list[tuple[int, ...]]] = []
-        for goal in self.goals:
-            dist = [-1] * (w * h)
-            dist[goal] = 0
-            queue = deque([goal])
-            while queue:
-                cur = queue.popleft()
-                d0 = dist[cur] + 1
-                for prev in rev[cur]:
-                    if dist[prev] < 0:
-                        dist[prev] = d0
-                        queue.append(prev)
-            self.dist.append(dist)
-            desc = [()] * (w * h)
-            for cid in range(w * h):
-                if dist[cid] > 0:
-                    want = dist[cid] - 1
-                    desc[cid] = tuple(n for n in nbr[cid] if dist[n] == want)
-            self.desc.append(desc)
-
-    def cell(self, cid: int) -> Cell:
-        return Cell(cid % self.width, cid // self.width)
+    def descents(self, i: int, cid: int) -> tuple[int, ...]:
+        """Neighbours of ``cid`` one move closer to agent ``i``'s goal."""
+        dist = self.dist[i]
+        want = dist[cid] - 1
+        if want < 0:
+            return ()
+        return tuple(n for n in self.nbr[cid] if dist[n] == want)
 
     def solution_from_states(self, states: Sequence[tuple[int, ...]]) -> Solution:
         paths = []
@@ -148,7 +117,7 @@ class _Compiled:
 def _descent_successors(
     cur: tuple[int, ...],
     movers: list[int],
-    desc: list[list[tuple[int, ...]]],
+    comp: _Compiled,
     static_cells: frozenset[int],
     model: ConflictModel,
 ) -> Iterator[tuple[int, ...]]:
@@ -158,7 +127,7 @@ def _descent_successors(
     at their goals.  Successors come out in a fixed deterministic order.
     """
     n = len(cur)
-    choices = [desc[i][cur[i]] for i in movers]
+    choices = [comp.descents(i, cur[i]) for i in movers]
     mover_cells = frozenset(cur[i] for i in movers)
     assignment: list[int] = [0] * len(movers)
     chosen: set[int] = set()
@@ -235,19 +204,19 @@ def exists_individually_optimal(
     fully determine elapsed time under strict descent, so states are
     deduplicated on positions alone.
     """
-    comp = _Compiled(instance)
+    return _individually_optimal(_Compiled(instance), model, budget)
+
+
+def _individually_optimal(comp: _Compiled, model: ConflictModel, budget: SearchBudget) -> Witness:
     n = len(comp.starts)
-    for i in range(n):
-        if comp.dist[i][comp.starts[i]] < 0:
-            return Witness(False, None)
+    if comp.lower_bound is None:
+        return Witness(False, None)
     if n == 0:
         return Witness(True, Solution(()))
 
     clock = _BudgetClock(budget)
     start = comp.starts
     goals = comp.goals
-    if model.forbid_vertex and len(set(start)) < n:
-        return Witness(False, None)
     parent: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {start: None}
     stack = [start]
     while stack:
@@ -261,7 +230,7 @@ def exists_individually_optimal(
             states.reverse()
             return Witness(True, comp.solution_from_states(states))
         static_cells = frozenset(cur[i] for i in range(n) if cur[i] == goals[i])
-        for nxt in _descent_successors(cur, movers, comp.desc, static_cells, model):
+        for nxt in _descent_successors(cur, movers, comp, static_cells, model):
             if nxt not in parent:
                 parent[nxt] = cur
                 stack.append(nxt)
@@ -282,13 +251,10 @@ def enumerate_individually_optimal(
     """
     comp = _Compiled(instance)
     n = len(comp.starts)
-    for i in range(n):
-        if comp.dist[i][comp.starts[i]] < 0:
-            return []
+    if comp.lower_bound is None:
+        return []
     if n == 0:
         return [Solution(())]
-    if model.forbid_vertex and len(set(comp.starts)) < n:
-        return []
 
     clock = _BudgetClock(budget)
     goals = comp.goals
@@ -303,7 +269,7 @@ def enumerate_individually_optimal(
             out.append(comp.solution_from_states(trail))
             return limit is not None and len(out) >= limit
         static_cells = frozenset(cur[i] for i in range(n) if cur[i] == goals[i])
-        for nxt in _descent_successors(cur, movers, comp.desc, static_cells, model):
+        for nxt in _descent_successors(cur, movers, comp, static_cells, model):
             trail.append(nxt)
             done = rec()
             trail.pop()
@@ -313,50 +279,6 @@ def enumerate_individually_optimal(
 
     rec()
     return out
-
-
-def _enumerate_memoized(
-    instance: Instance,
-    model: ConflictModel = VERTEX_EDGE,
-    budget: SearchBudget = DEFAULT_BUDGET,
-) -> list[Solution]:
-    """Enumeration with suffix memoization keyed on position tuples.
-
-    Exists to demonstrate that strict-descent deduplication is lossless:
-    the result equals plain enumeration, solution for solution.
-    """
-    comp = _Compiled(instance)
-    n = len(comp.starts)
-    for i in range(n):
-        if comp.dist[i][comp.starts[i]] < 0:
-            return []
-    if n == 0:
-        return [Solution(())]
-    if model.forbid_vertex and len(set(comp.starts)) < n:
-        return []
-
-    clock = _BudgetClock(budget)
-    goals = comp.goals
-    memo: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], ...]] = {}
-
-    def suffixes(cur: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        cached = memo.get(cur)
-        if cached is not None:
-            return cached
-        clock.tick()
-        movers = [i for i in range(n) if cur[i] != goals[i]]
-        if not movers:
-            memo[cur] = ((cur,),)
-            return memo[cur]
-        static_cells = frozenset(cur[i] for i in range(n) if cur[i] == goals[i])
-        acc = []
-        for nxt in _descent_successors(cur, movers, comp.desc, static_cells, model):
-            for tail in suffixes(nxt):
-                acc.append((cur,) + tail)
-        memo[cur] = tuple(acc)
-        return memo[cur]
-
-    return [comp.solution_from_states(states) for states in suffixes(comp.starts)]
 
 
 def exists_makespan_at_most(
@@ -371,7 +293,12 @@ def exists_makespan_at_most(
     distance exceeds the remaining time is pruned, so when every agent's
     distance equals the bound the search degenerates to strict descent.
     """
-    comp = _Compiled(instance)
+    return _makespan_at_most(_Compiled(instance), bound, model, budget)
+
+
+def _makespan_at_most(
+    comp: _Compiled, bound: int, model: ConflictModel, budget: SearchBudget
+) -> Witness:
     n = len(comp.starts)
     if n == 0:
         return Witness(True, Solution(()))
@@ -379,14 +306,12 @@ def exists_makespan_at_most(
         d = comp.dist[i][comp.starts[i]]
         if d < 0 or d > bound:
             return Witness(False, None)
-    if model.forbid_vertex and len(set(comp.starts)) < n:
-        return Witness(False, None)
 
     clock = _BudgetClock(budget)
     goals = comp.goals
     nbr = comp.nbr
     dist = comp.dist
-    waits = instance.directions.waits_allowed
+    waits = comp.instance.directions.waits_allowed
     start_key = (comp.starts, 0)
     parent: dict[tuple[tuple[int, ...], int], Optional[tuple[tuple[int, ...], int]]] = {
         start_key: None
@@ -476,21 +401,24 @@ def optimal_flowtime(
     agents' goal distances.  Raises ``NoSolutionError`` when the instance
     has no feasible solution.
     """
-    comp = _Compiled(instance)
+    return _optimal_flowtime(_Compiled(instance), model, budget)
+
+
+def _optimal_flowtime(
+    comp: _Compiled, model: ConflictModel, budget: SearchBudget
+) -> tuple[int, Solution]:
     n = len(comp.starts)
     if n == 0:
         return 0, Solution(())
     for i in range(n):
         if comp.dist[i][comp.starts[i]] < 0:
-            raise NoSolutionError(f"agent {instance.agents[i].id} cannot reach its goal")
-    if model.forbid_vertex and len(set(comp.starts)) < n:
-        raise NoSolutionError("two agents share a start cell")
+            raise NoSolutionError(f"agent {comp.instance.agents[i].id} cannot reach its goal")
 
     clock = _BudgetClock(budget)
     goals = comp.goals
     nbr = comp.nbr
     dist = comp.dist
-    waits = instance.directions.waits_allowed
+    waits = comp.instance.directions.waits_allowed
     all_mask = (1 << n) - 1
 
     def h(pos: tuple[int, ...], mask: int) -> int:
@@ -611,11 +539,9 @@ def delta(
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> int:
     """Optimal flowtime minus the sum of individually optimal path lengths."""
-    bound = lower_bound_cost(instance)
-    if bound is None:
-        raise NoSolutionError("some agent cannot reach its goal")
-    cost, _ = optimal_flowtime(instance, model, budget)
-    return cost - bound
+    comp = _Compiled(instance)
+    cost, _ = _optimal_flowtime(comp, model, budget)  # raises if a goal is out of reach
+    return cost - comp.lower_bound
 
 
 def _team_assignments(instance: Instance) -> Iterator[dict[int, Cell]]:
@@ -662,23 +588,25 @@ def two_colored_decide(
         raise ValueError("instance has no teams")
     if objective not in ("flowtime", "makespan"):
         raise ValueError(f"unknown objective {objective!r}")
+    kernel = _GridKernel(instance.grid)
     for assignment in _team_assignments(instance):
         labeled = relabel_with_assignment(instance, assignment)
         if objective == "makespan":
-            witness = exists_makespan_at_most(labeled, bound, model, budget)
+            witness = _makespan_at_most(_Compiled(labeled, kernel), bound, model, budget)
             if witness.decision:
                 return witness
         else:
-            lb = lower_bound_cost(labeled)
+            comp = _Compiled(labeled, kernel)
+            lb = comp.lower_bound
             if lb is None or lb > bound:
                 continue
             if lb == bound:
-                witness = exists_individually_optimal(labeled, model, budget)
+                witness = _individually_optimal(comp, model, budget)
                 if witness.decision:
                     return witness
             else:
                 try:
-                    cost, solution = optimal_flowtime(labeled, model, budget)
+                    cost, solution = _optimal_flowtime(comp, model, budget)
                 except NoSolutionError:
                     continue
                 if cost <= bound:
@@ -690,10 +618,10 @@ def assignment_minimal_lower_bound(instance: Instance) -> Optional[int]:
     """Smallest lower-bound cost over all within-team target bijections."""
     if instance.teams is None:
         return lower_bound_cost(instance)
+    kernel = _GridKernel(instance.grid)
     best: Optional[int] = None
     for assignment in _team_assignments(instance):
-        labeled = relabel_with_assignment(instance, assignment)
-        lb = lower_bound_cost(labeled)
+        lb = _Compiled(relabel_with_assignment(instance, assignment), kernel).lower_bound
         if lb is not None and (best is None or lb < best):
             best = lb
     return best

@@ -34,7 +34,7 @@ toward the opening every step.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -50,8 +50,8 @@ from .core import (
     THREE_DIRECTIONS,
     TimedPath,
     UP_RIGHT,
+    _GridKernel,
     is_individually_optimal,
-    shortest_dist_field,
 )
 from .formula import (
     Clause,
@@ -521,32 +521,46 @@ def compile_formula(
         ladders=tuple(ladders),
         formula=formula,
     )
-    _compile_sanity(instance, meta, forest)
+    _compile_sanity(instance, meta)
     return instance, meta
 
 
-def _compile_sanity(instance: Instance, meta: ReductionMetadata, forest: NestingForest) -> None:
-    """Cheap invariants that catch layout bugs at compile time."""
-    agents = {a.id: a for a in instance.agents}
+def _entry_distances(
+    kernel: _GridKernel, instance: Instance, meta: ReductionMetadata
+) -> dict[tuple[int, int], Optional[int]]:
+    """Moves from each agent's start to the entry cell of each of its clause's
+    channels under the sign's two directions, keyed by (clause id, variable).
+
+    One forward BFS per agent.  None where the variable has no channel or
+    its entry cell is out of reach.
+    """
+    starts = {a.id: kernel.cid(a.start) for a in instance.agents}
+    out: dict[tuple[int, int], Optional[int]] = {}
     for c in meta.formula.clauses:
-        dirs = meta.sign_directions(c.side)
-        agent = agents[c.id]
-        field = shortest_dist_field(instance.grid, agent.goal, dirs)
-        total = field.get(agent.start)
-        if total is None:
-            raise LayoutError(f"agent {c.id} cannot reach its target monotonically")
+        field = kernel.dist_from(starts[c.id], meta.sign_directions(c.side))
         for v in c.vars:
             channel = meta.channel_by_var(v)
-            assert channel is not None
-            entry_field = shortest_dist_field(
-                instance.grid, meta.entry_cell(c.side, channel), dirs
+            out[(c.id, v)] = None if channel is None else kernel.at(
+                field, meta.entry_cell(c.side, channel)
             )
-            d = entry_field.get(agent.start)
-            if d is None or d > meta.channel_length:
-                raise LayoutError(
-                    f"agent {c.id}: channel {v} entry distance {d} exceeds "
-                    f"channel length {meta.channel_length}"
-                )
+    return out
+
+
+def _compile_sanity(instance: Instance, meta: ReductionMetadata) -> None:
+    """Cheap invariants that catch layout bugs at compile time."""
+    kernel = _GridKernel(instance.grid)
+    agents = {a.id: a for a in instance.agents}
+    for c in meta.formula.clauses:
+        agent = agents[c.id]
+        field = kernel.dist_from(kernel.cid(agent.start), meta.sign_directions(c.side))
+        if kernel.at(field, agent.goal) is None:
+            raise LayoutError(f"agent {c.id} cannot reach its target monotonically")
+    for (cid, v), d in _entry_distances(kernel, instance, meta).items():
+        if d is None or d > meta.channel_length:
+            raise LayoutError(
+                f"agent {cid}: channel {v} entry distance {d} exceeds "
+                f"channel length {meta.channel_length}"
+            )
 
 
 def compute_l(instance: Instance, meta: ReductionMetadata) -> int:
@@ -555,19 +569,8 @@ def compute_l(instance: Instance, meta: ReductionMetadata) -> int:
     Recomputed from scratch with direction-restricted BFS; the compiled
     layout sets the channel length to exactly this value.
     """
-    worst = 0
-    agents = {a.id: a for a in instance.agents}
-    for c in meta.formula.clauses:
-        dirs = meta.sign_directions(c.side)
-        for v in c.vars:
-            channel = meta.channel_by_var(v)
-            if channel is None:
-                continue
-            field = shortest_dist_field(instance.grid, meta.entry_cell(c.side, channel), dirs)
-            d = field.get(agents[c.id].start)
-            if d is not None:
-                worst = max(worst, d)
-    return worst
+    dists = _entry_distances(_GridKernel(instance.grid), instance, meta).values()
+    return max((d for d in dists if d is not None), default=0)
 
 
 def makespan_variant(
@@ -582,11 +585,11 @@ def makespan_variant(
     """
     if meta.variant != "base":
         raise ValueError("makespan_variant starts from the base instance")
+    kernel = _GridKernel(instance.grid)
     dists: dict[int, int] = {}
     for agent in instance.agents:
-        field = shortest_dist_field(instance.grid, agent.goal, instance.directions)
-        d = field.get(agent.start)
-        assert d is not None
+        d = kernel.dist_to(kernel.cid(agent.goal), instance.directions)[kernel.cid(agent.start)]
+        assert d >= 0
         dists[agent.id] = d
     common = max(dists.values(), default=0)
 
@@ -597,23 +600,15 @@ def makespan_variant(
         new_goals[agent.id] = Cell(agent.goal.col + ext, agent.goal.row)
         for k in range(1, ext + 1):
             extension_cells.add(Cell(agent.goal.col + k, agent.goal.row))
-    new_width = max(
-        [instance.grid.width] + [g.col + 1 for g in new_goals.values()]
+    old = instance.grid
+    new_width = max([old.width] + [g.col + 1 for g in new_goals.values()])
+    widening = (
+        Cell(col, row) for row in range(old.height) for col in range(old.width, new_width)
     )
-    free = set()
-    for row in range(instance.grid.height):
-        for col in range(instance.grid.width):
-            cell = Cell(col, row)
-            if instance.grid.is_free(cell):
-                free.add(cell)
-    free |= extension_cells
     obstacles = frozenset(
-        Cell(col, row)
-        for row in range(instance.grid.height)
-        for col in range(new_width)
-        if Cell(col, row) not in free
+        cell for cell in itertools.chain(old.obstacles, widening) if cell not in extension_cells
     )
-    grid = GridMap(new_width, instance.grid.height, obstacles)
+    grid = GridMap(new_width, old.height, obstacles)
     agents = tuple(
         AgentTask(id=a.id, start=a.start, goal=new_goals[a.id], team=a.team)
         for a in instance.agents
@@ -639,22 +634,17 @@ def two_colored_variant(instance: Instance, meta: ReductionMetadata) -> Instance
     return Instance(instance.grid, agents, instance.directions, teams=teams)
 
 
-def _walk(grid: GridMap, dirs: DirectionSet, a: Cell, b: Cell) -> list[Cell]:
-    """A deterministic shortest path from a to b under the given directions."""
-    field = shortest_dist_field(grid, b, dirs)
-    if a not in field:
+def _walk(kernel: _GridKernel, dirs: DirectionSet, a: Cell, b: Cell) -> list[Cell]:
+    """A deterministic shortest path from a to b under the given directions:
+    each step takes the first direction, in canonical order, that descends."""
+    dist = kernel.dist_to(kernel.cid(b), dirs)
+    cur = kernel.cid(a)
+    if dist[cur] < 0:
         raise LayoutError(f"no route {a} -> {b}")
     cells = [a]
-    cur = a
-    while cur != b:
-        for d in dirs.ordered():
-            nxt = d.apply(cur)
-            if grid.is_free(nxt) and field.get(nxt, -1) == field[cur] - 1:
-                cur = nxt
-                cells.append(cur)
-                break
-        else:
-            raise LayoutError(f"walk stuck at {cur} heading for {b}")
+    while dist[cur] > 0:
+        cur = next(n for n in kernel.neighbours(dirs)[cur] if dist[n] == dist[cur] - 1)
+        cells.append(kernel.cell(cur))
     return cells
 
 
@@ -669,6 +659,7 @@ def realize_solution(
     """
     if not evaluate(meta.formula, assignment):
         raise ValueError("assignment does not satisfy the formula")
+    kernel = _GridKernel(instance.grid)
     agents = {a.id: a for a in instance.agents}
     paths = []
     for c in meta.formula.clauses:
@@ -680,9 +671,9 @@ def realize_solution(
         agent = agents[c.id]
         entry = meta.entry_cell(c.side, channel)
         exit_ = meta.exit_cell(c.side, channel)
-        cells = _walk(instance.grid, dirs, agent.start, entry)
-        cells += _walk(instance.grid, dirs, entry, exit_)[1:]
-        cells += _walk(instance.grid, dirs, exit_, agent.goal)[1:]
+        cells = _walk(kernel, dirs, agent.start, entry)
+        cells += _walk(kernel, dirs, entry, exit_)[1:]
+        cells += _walk(kernel, dirs, exit_, agent.goal)[1:]
         paths.append(TimedPath(tuple(cells)))
     order = {a.id: i for i, a in enumerate(instance.agents)}
     ordered = [None] * len(paths)
@@ -734,21 +725,14 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
     agents = {a.id: a for a in instance.agents}
     clauses = meta.formula.clauses
     grid = instance.grid
+    kernel = _GridKernel(grid)
+    at = kernel.at
 
-    # start fields per agent under its sign's two directions
-    start_fields: dict[int, dict[Cell, int]] = {}
-    for c in clauses:
-        dirs = meta.sign_directions(c.side)
-        dist = {agents[c.id].start: 0}
-        queue = deque([agents[c.id].start])
-        while queue:
-            cur = queue.popleft()
-            for d in dirs.ordered():
-                nxt = d.apply(cur)
-                if grid.is_free(nxt) and nxt not in dist:
-                    dist[nxt] = dist[cur] + 1
-                    queue.append(nxt)
-        start_fields[c.id] = dist
+    def start_field(c: Clause) -> list[int]:
+        return kernel.dist_from(kernel.cid(agents[c.id].start), meta.sign_directions(c.side))
+
+    def goal_field(c: Clause, dirs: DirectionSet) -> list[int]:
+        return kernel.dist_to(kernel.cid(agents[c.id].goal), dirs)
 
     # 1. unique start-to-opening distances per sign
     problems = []
@@ -758,7 +742,7 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
         for c in clauses:
             if c.side is not side:
                 continue
-            d = start_fields[c.id].get(opening)
+            d = at(start_field(c), opening)
             if d is None:
                 problems.append(f"agent {c.id} cannot reach the opening")
             elif d in seen:
@@ -787,14 +771,13 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
 
     # 3. every channel-entry distance is at most L
     problems = []
+    entry = _entry_distances(kernel, instance, meta)
     for c in clauses:
         for v in c.vars:
-            ch = meta.channel_by_var(v)
-            if ch is None:
+            d = entry[(c.id, v)]
+            if meta.channel_by_var(v) is None:
                 problems.append(f"variable {v} has no channel")
-                continue
-            d = start_fields[c.id].get(meta.entry_cell(c.side, ch))
-            if d is None:
+            elif d is None:
                 problems.append(f"agent {c.id} cannot enter channel {v}")
             elif d > meta.channel_length:
                 problems.append(
@@ -807,22 +790,14 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
     for side in (Side.POSITIVE, Side.NEGATIVE):
         opening = meta.opening(side)
         dirs = meta.sign_directions(side)
-        beyond = set(shortest_dist_field(grid, opening, dirs))
-        after: set[Cell] = {opening}
-        queue = deque([opening])
-        while queue:
-            cur = queue.popleft()
-            for d in dirs.ordered():
-                nxt = d.apply(cur)
-                if grid.is_free(nxt) and nxt not in after:
-                    after.add(nxt)
-                    queue.append(nxt)
+        after = kernel.dist_from(kernel.cid(opening), dirs) if grid.is_free(opening) else None
         for c in clauses:
             if c.side is not side:
                 continue
-            for cell in start_fields[c.id]:
-                if cell in after and cell != opening:
+            for cid in kernel.reached_from(kernel.cid(agents[c.id].start), dirs):
+                if after is not None and after[cid] > 0:
                     continue
+                cell = kernel.cell(cid)
                 ok_col = cell.col <= opening.col
                 ok_row = cell.row <= opening.row if side is Side.POSITIVE else cell.row >= opening.row
                 if not (ok_col and ok_row):
@@ -835,10 +810,9 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
     # 5. a route through every clause variable's channel, all equal length
     problems = []
     for c in clauses:
-        dirs = meta.sign_directions(c.side)
         agent = agents[c.id]
-        goal_field = shortest_dist_field(grid, agent.goal, dirs)
-        total = goal_field.get(agent.start)
+        to_goal = goal_field(c, meta.sign_directions(c.side))
+        total = at(to_goal, agent.start)
         if total is None:
             problems.append(f"agent {c.id} cannot reach its target")
             continue
@@ -847,8 +821,8 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
             if ch is None:
                 problems.append(f"variable {v} has no channel")
                 continue
-            d1 = start_fields[c.id].get(meta.entry_cell(c.side, ch))
-            d2 = goal_field.get(meta.exit_cell(c.side, ch))
+            d1 = entry[(c.id, v)]
+            d2 = at(to_goal, meta.exit_cell(c.side, ch))
             if d1 is None or d2 is None:
                 problems.append(f"agent {c.id} has no route through channel {v}")
             elif d1 + meta.channel_length + d2 != total:
@@ -860,21 +834,21 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
     # 6. no route bypasses all of the clause's channels
     problems = []
     for c in clauses:
-        dirs = meta.sign_directions(c.side)
         agent = agents[c.id]
-        blocked: set[Cell] = set()
+        blocked: list[int] = []
         for v in c.vars:
             ch = meta.channel_by_var(v)
             if ch is not None:
-                blocked.update(ch.cells())
-        pruned = GridMap(grid.width, grid.height, grid.obstacles | frozenset(blocked))
-        field = shortest_dist_field(pruned, agent.goal, dirs)
-        if agent.start in field:
+                blocked += [kernel.cid(cell) for cell in ch.cells() if grid.in_bounds(cell)]
+        bypass = kernel.dist_to_avoiding(
+            kernel.cid(agent.goal), meta.sign_directions(c.side), blocked
+        )
+        if bypass[kernel.cid(agent.start)] >= 0:
             problems.append(f"agent {c.id} can bypass its channels")
         for ch in meta.channels:
             if ch.var in c.vars:
                 continue
-            if meta.entry_cell(c.side, ch) in start_fields[c.id]:
+            if at(start_field(c), meta.entry_cell(c.side, ch)) is not None:
                 problems.append(f"agent {c.id} can enter foreign channel {ch.var}")
     checks.append(CheckResult("no-channel-bypass", not problems, "; ".join(problems)))
 
@@ -898,10 +872,9 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
     # 8. two directions per sign suffice (left moves never help anyone)
     problems = []
     for c in clauses:
-        agent = agents[c.id]
-        free_field = shortest_dist_field(grid, agent.goal, FOUR_DIRECTIONS)
-        sign_field = shortest_dist_field(grid, agent.goal, meta.sign_directions(c.side))
-        d_free, d_sign = free_field.get(agent.start), sign_field.get(agent.start)
+        start = agents[c.id].start
+        d_free = at(goal_field(c, FOUR_DIRECTIONS), start)
+        d_sign = at(goal_field(c, meta.sign_directions(c.side)), start)
         if d_free != d_sign:
             problems.append(
                 f"agent {c.id}: unrestricted distance {d_free} beats two-direction {d_sign}"

@@ -119,6 +119,21 @@ class TestSolveAndOracle:
         assert run("delta", workdir / "dr.map", workdir / "no.agents") == 0
         assert capsys.readouterr().out.strip() == "1"
 
+    def test_timeout_zero_exits_two(self, workdir):
+        # Four agents swapping corners: the flowtime and delta searches
+        # expand more than 512 states, the interval at which the deadline
+        # is read.
+        (workdir / "open.map").write_text("height 5\nwidth 5\nmap\n" + ".....\n" * 5)
+        (workdir / "swap.agents").write_text(
+            "directions UDLR\nagent 1 0 0 4 4\nagent 2 4 0 0 4\n"
+            "agent 3 0 4 4 0\nagent 4 4 4 0 0\n"
+        )
+        files = (workdir / "open.map", workdir / "swap.agents")
+        assert run("oracle", *files, "--mode", "flowtime", "--timeout", "0") == 2
+        assert run("delta", *files, "--timeout", "0") == 2
+        assert run("delta", *files, "--timeout", "-1") == 2
+        assert run("oracle", *files, "--mode", "indopt", "--timeout", "60") == 0
+
     def test_solution_revalidates_through_verify(self, workdir):
         run(
             "solve2dir", workdir / "dr.map", workdir / "yes.agents",

@@ -1,0 +1,113 @@
+"""Differential tests of the integer grid kernel against a BFS over cells."""
+
+import itertools
+from collections import deque
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridmapf.core import (
+    MOTION_DIRECTIONS,
+    Cell,
+    DirectionSet,
+    GridMap,
+    _GridKernel,
+    shortest_dist_field,
+)
+
+#: Every non-empty subset of the four moves.
+DIRECTION_SETS = [
+    DirectionSet(frozenset(moves))
+    for k in range(1, 5)
+    for moves in itertools.combinations(MOTION_DIRECTIONS, k)
+]
+
+
+def reference_bfs(grid, source, steps):
+    """Move counts from ``source`` to every reachable free cell."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        cur = queue.popleft()
+        for dc, dr in steps:
+            nxt = Cell(cur.col + dc, cur.row + dr)
+            if grid.is_free(nxt) and nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                queue.append(nxt)
+    return dist
+
+
+def forward(dirs):
+    return [(d.dcol, d.drow) for d in dirs.ordered()]
+
+
+def backward(dirs):
+    return [(-d.dcol, -d.drow) for d in dirs.ordered()]
+
+
+def reversed_set(dirs):
+    flip = {(d.dcol, d.drow): d for d in MOTION_DIRECTIONS}
+    return DirectionSet(frozenset(flip[(-d.dcol, -d.drow)] for d in dirs.moves))
+
+
+def as_cells(kernel, field):
+    return {kernel.cell(cid): d for cid, d in enumerate(field) if d >= 0}
+
+
+@st.composite
+def grids(draw):
+    width = draw(st.integers(1, 6))
+    height = draw(st.integers(1, 6))
+    cells = [Cell(c, r) for r in range(height) for c in range(width)]
+    obstacles = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1))
+    return GridMap(width, height, frozenset(obstacles))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids(), st.sampled_from(DIRECTION_SETS))
+def test_fields_match_reference_bfs(grid, dirs):
+    kernel = _GridKernel(grid)
+    for cell in grid.free_cells():
+        cid = kernel.cid(cell)
+        assert as_cells(kernel, kernel.dist_to(cid, dirs)) == reference_bfs(
+            grid, cell, backward(dirs)
+        )
+        reference = reference_bfs(grid, cell, forward(dirs))
+        from_cell = as_cells(kernel, kernel.dist_from(cid, dirs))
+        assert from_cell == reference
+        assert from_cell == as_cells(kernel, kernel.dist_to(cid, reversed_set(dirs)))
+        # Same neighbour order as the reference, so the same visiting order.
+        assert [kernel.cell(c) for c in kernel.reached_from(cid, dirs)] == list(reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids(), st.sampled_from(DIRECTION_SETS), st.data())
+def test_blocked_ids_act_as_obstacles(grid, dirs, data):
+    kernel = _GridKernel(grid)
+    free = list(grid.free_cells())
+    blocked = data.draw(st.sets(st.sampled_from(free)))
+    pruned = GridMap(grid.width, grid.height, grid.obstacles | blocked)
+    for goal in free:
+        field = kernel.dist_to_avoiding(kernel.cid(goal), dirs, map(kernel.cid, blocked))
+        if goal in blocked:
+            assert max(field) < 0
+        else:
+            assert as_cells(kernel, field) == reference_bfs(pruned, goal, backward(dirs))
+    # The blocked search leaves the memoized fields alone.
+    for goal in free:
+        assert as_cells(kernel, kernel.dist_to(kernel.cid(goal), dirs)) == reference_bfs(
+            grid, goal, backward(dirs)
+        )
+
+
+@settings(max_examples=30, deadline=None)
+@given(grids(), st.sampled_from(DIRECTION_SETS))
+def test_shortest_dist_field_returns_a_new_mapping(grid, dirs):
+    goal = next(grid.free_cells())
+    first = shortest_dist_field(grid, goal, dirs)
+    assert list(first.items()) == list(reference_bfs(grid, goal, backward(dirs)).items())
+    first[goal] = 99
+    first[Cell(-1, -1)] = 0
+    second = shortest_dist_field(grid, goal, dirs)
+    assert second is not first
+    assert second == reference_bfs(grid, goal, backward(dirs))

@@ -1,5 +1,6 @@
 """Oracle tests: exhaustive searches checked against simpler brute forces."""
 
+import functools
 import itertools
 import random
 
@@ -27,11 +28,12 @@ from gridmapf.oracle import (
     assignment_minimal_lower_bound,
     delta,
     enumerate_individually_optimal,
-    _enumerate_memoized,
     exists_individually_optimal,
     exists_makespan_at_most,
     optimal_flowtime,
     two_colored_decide,
+    _Compiled,
+    _descent_successors,
 )
 
 
@@ -79,6 +81,32 @@ def product_filter_solutions(instance, model=VERTEX_EDGE):
         if validate_solution(instance, sol, model).ok:
             result.append(sol)
     return result
+
+
+def enumerate_memoized(instance, model=VERTEX_EDGE):
+    """Enumeration with suffix memoization keyed on position tuples.
+
+    Exists to demonstrate that strict-descent deduplication is lossless:
+    the result equals plain enumeration, solution for solution.
+    """
+    comp = _Compiled(instance)
+    n = len(comp.starts)
+    if comp.lower_bound is None:
+        return []
+
+    @functools.lru_cache(maxsize=None)
+    def suffixes(cur):
+        movers = [i for i in range(n) if cur[i] != comp.goals[i]]
+        if not movers:
+            return ((cur,),)
+        static_cells = frozenset(cur[i] for i in range(n) if cur[i] == comp.goals[i])
+        return tuple(
+            (cur,) + tail
+            for nxt in _descent_successors(cur, movers, comp, static_cells, model)
+            for tail in suffixes(nxt)
+        )
+
+    return [comp.solution_from_states(states) for states in suffixes(comp.starts)]
 
 
 class TestExistsIndividuallyOptimal:
@@ -134,6 +162,18 @@ class TestExistsIndividuallyOptimal:
         inst = inst4([((0, 0), (3, 3)), ((1, 0), (3, 2)), ((0, 1), (2, 3))])
         with pytest.raises(BudgetExceededError):
             exists_individually_optimal(inst, budget=SearchBudget(max_states=1))
+
+    def test_zero_timeout_is_a_deadline(self):
+        corners = [((0, 0), (3, 3)), ((3, 0), (0, 3)), ((0, 3), (3, 0)), ((3, 3), (0, 0))]
+        inst = inst4(corners)
+        with pytest.raises(BudgetExceededError, match="state budget"):
+            enumerate_individually_optimal(inst, budget=SearchBudget(max_states=512))
+        with pytest.raises(BudgetExceededError, match="wall-time"):
+            enumerate_individually_optimal(inst, budget=SearchBudget(max_seconds=0))
+
+    def test_negative_timeout_rejected(self):
+        with pytest.raises(ValueError):
+            SearchBudget(max_seconds=-1)
 
     def test_agent_reorder_invariance(self):
         tasks = [((0, 0), (2, 2)), ((2, 0), (0, 2)), ((1, 0), (1, 2))]
@@ -217,7 +257,7 @@ class TestEnumerate:
                 FOUR_DIRECTIONS,
             )
             plain = enumerate_individually_optimal(inst)
-            memo = _enumerate_memoized(inst)
+            memo = enumerate_memoized(inst)
             assert {tuple(p.cells for p in s.paths) for s in plain} == {
                 tuple(p.cells for p in s.paths) for s in memo
             }
