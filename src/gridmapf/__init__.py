@@ -27,7 +27,6 @@ from .core import (
     VERTEX_EDGE,
     is_individually_optimal,
     lower_bound_cost,
-    neighbors,
     shortest_dist_field,
     validate_solution,
 )
@@ -80,7 +79,6 @@ from .twodir import (
     diagonal_key,
     partition_diagonals,
     plan_monotone_path,
-    region_above,
     solve_two_dir,
     weakly_above,
 )

@@ -58,15 +58,12 @@ MOTION_DIRECTIONS: tuple[Direction, ...] = (
 )
 
 _LETTER_TO_DIRECTION = {d.letter: d for d in Direction}
+_STEP_TO_DIRECTION = {d.value: d for d in Direction}
 
 
 def direction_between(a: Cell, b: Cell) -> Optional[Direction]:
     """The single action leading from ``a`` to ``b``, or None if not one step."""
-    delta = (b.col - a.col, b.row - a.row)
-    for d in Direction:
-        if d.value == delta:
-            return d
-    return None
+    return _STEP_TO_DIRECTION.get((b.col - a.col, b.row - a.row))
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,8 @@ class GridMap:
         return 0 <= cell.col < self.width and 0 <= cell.row < self.height
 
     def is_free(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and cell not in self.obstacles
+        col, row = cell  # in_bounds inlined: runs once per step of every path read
+        return 0 <= col < self.width and 0 <= row < self.height and cell not in self.obstacles
 
     @property
     def free_count(self) -> int:
@@ -316,18 +314,6 @@ class ConflictReport:
         return {c.kind for c in self.conflicts}
 
 
-def neighbors(grid: GridMap, cell: Cell, dirs: DirectionSet) -> list[Cell]:
-    """Free cells reachable from ``cell`` in one motion step (waits excluded)."""
-    if not grid.is_free(cell):
-        raise ValueError(f"{cell} is not a free cell of the grid")
-    result = []
-    for d in dirs.ordered():
-        nxt = d.apply(cell)
-        if grid.is_free(nxt):
-            result.append(nxt)
-    return result
-
-
 class _GridKernel:
     """A grid lowered to row-major integer cell ids, ``row * width + col``.
 
@@ -487,30 +473,31 @@ def validate_solution(
 
     conflicts: list[Conflict] = []
     ids = [a.id for a in instance.agents]
-    paths = solution.paths
-    n = len(paths)
-    horizon = max((len(p.cells) for p in paths), default=1)
+    cells = [p.cells for p in solution.paths]
+    n = len(cells)
+    horizon = max((len(c) for c in cells), default=1)
 
     # Malformed single-agent steps.
-    for idx, path in enumerate(paths):
-        for t, cell in enumerate(path.cells):
+    for aid, path in zip(ids, cells):
+        for t, cell in enumerate(path):
             if not instance.grid.is_free(cell):
-                conflicts.append(Conflict(t, "illegal-step", (ids[idx],), (cell,)))
-        for t in range(1, len(path.cells)):
-            a, b = path.cells[t - 1], path.cells[t]
-            d = direction_between(a, b)
-            if d is None:
-                conflicts.append(Conflict(t, "illegal-step", (ids[idx],), (a, b)))
-            elif d is Direction.WAIT:
+                conflicts.append(Conflict(t, "illegal-step", (aid,), (cell,)))
+        for t in range(1, len(path)):
+            a, b = path[t - 1], path[t]
+            step = (b[0] - a[0], b[1] - a[1])
+            if step == (0, 0):
                 if not instance.directions.waits_allowed:
-                    conflicts.append(Conflict(t, "illegal-step", (ids[idx],), (a,)))
-            elif d not in instance.directions:
-                conflicts.append(Conflict(t, "illegal-step", (ids[idx],), (a, b)))
+                    conflicts.append(Conflict(t, "illegal-step", (aid,), (a,)))
+            elif step not in instance.directions._steps:
+                conflicts.append(Conflict(t, "illegal-step", (aid,), (a, b)))
 
-    # Pairwise conflicts, time step by time step.
+    # Interactions, time step by time step.  Edge and following conflicts
+    # pair two movers, so each mover's new cell is looked up among the cells
+    # that movers leave; several can leave one cell after a vertex conflict.
+    here = [c[0] for c in cells]
     for t in range(horizon):
-        here = [p.at(t) for p in paths]
-        if model.forbid_vertex:
+        prev, here = here, [c[t] if t < len(c) else c[-1] for c in cells]
+        if model.forbid_vertex and len(set(here)) < n:
             seen: dict[Cell, int] = {}
             for i, cell in enumerate(here):
                 if cell in seen:
@@ -521,28 +508,26 @@ def validate_solution(
                     seen[cell] = i
         if t == 0:
             continue
-        prev = [p.at(t - 1) for p in paths]
+        moved = [i for i in range(n) if here[i] != prev[i]]
+        leaving: dict[Cell, list[int]] = {}  # cell -> movers leaving it, ascending
+        for i in moved:
+            leaving.setdefault(prev[i], []).append(i)
         if model.forbid_edge:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if prev[i] != here[i] and here[i] == prev[j] and here[j] == prev[i]:
+            for i in moved:
+                for j in leaving.get(here[i], ()):
+                    if j > i and here[j] == prev[i]:
                         conflicts.append(
                             Conflict(t, "edge", (ids[i], ids[j]), (prev[i], here[i]))
                         )
         if model.forbid_following:
-            for i in range(n):
-                if here[i] == prev[i]:
-                    continue
-                for j in range(n):
-                    if j != i and here[i] == prev[j] and here[j] != prev[j]:
-                        conflicts.append(
-                            Conflict(t, "following", (ids[i], ids[j]), (here[i],))
-                        )
+            for i in moved:
+                for j in leaving.get(here[i], ()):
+                    conflicts.append(Conflict(t, "following", (ids[i], ids[j]), (here[i],)))
         if model.forbid_cycle:
             at_prev = {prev[i]: i for i in range(n)}
             in_cycle: set[int] = set()
-            for start_i in range(n):
-                if start_i in in_cycle or here[start_i] == prev[start_i]:
+            for start_i in moved:
+                if start_i in in_cycle:
                     continue
                 chain = [start_i]
                 cur = start_i

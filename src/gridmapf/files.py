@@ -18,7 +18,6 @@ from .core import (
     Instance,
     Solution,
     TimedPath,
-    direction_between,
 )
 from .formula import MonotoneFormula, format_formula, parse_formula
 from .reduction import ChannelSpec, LadderSpec, ReductionMetadata
@@ -51,7 +50,8 @@ def read_map(text: str) -> GridMap:
     header = {}
     for i, key in enumerate(("height", "width")):
         parts = lines[i].split()
-        if len(parts) != 2 or parts[0] != key or not parts[1].isdigit():
+        # isdecimal, not isdigit: int() rejects digits such as "²".
+        if len(parts) != 2 or parts[0] != key or not parts[1].isdecimal():
             raise FileFormatError(f"expected '{key} <n>'", i + 1)
         header[key] = int(parts[1])
     if lines[2].strip() != "map":
@@ -132,20 +132,22 @@ def read_agents(text: str, grid: GridMap) -> Instance:
     return Instance(grid, tuple(agents), directions, teams=teams)
 
 
+# Solution files spell each step as its action's letter (W for a wait).
+_STEP_LETTERS = {d.value: d.letter for d in Direction}
+_LETTER_STEPS = {letter: step for step, letter in _STEP_LETTERS.items()}
+
+
 def write_solution(instance: Instance, solution: Solution) -> str:
     lines = []
     for agent, path in zip(instance.agents, solution.paths):
         moves = []
         for a, b in zip(path.cells, path.cells[1:]):
-            d = direction_between(a, b)
-            if d is None:
+            letter = _STEP_LETTERS.get((b.col - a.col, b.row - a.row))
+            if letter is None:
                 raise ValueError(f"agent {agent.id}: {a} -> {b} is not a single step")
-            moves.append(d.letter)
+            moves.append(letter)
         lines.append(f"agent {agent.id} {''.join(moves) or '-'}")
     return "\n".join(lines) + "\n"
-
-
-_MOVES = {d.letter: d for d in Direction}
 
 
 def read_solution(text: str, instance: Instance) -> Solution:
@@ -157,27 +159,29 @@ def read_solution(text: str, instance: Instance) -> Solution:
         parts = line.split()
         if parts[0] != "agent" or len(parts) != 3:
             raise FileFormatError("expected: agent <id> <moves|->", lineno)
-        if not parts[1].lstrip("-").isdigit():
-            raise FileFormatError(f"bad agent id {parts[1]!r}", lineno)
-        aid = int(parts[1])
+        try:
+            aid = int(parts[1])
+        except ValueError:
+            raise FileFormatError(f"bad agent id {parts[1]!r}", lineno) from None
         if aid in by_id:
             raise FileFormatError(f"duplicate agent {aid}", lineno)
         by_id[aid] = "" if parts[2] == "-" else parts[2]
     paths = []
+    allowed = {*instance.directions._steps, Direction.WAIT.value}
     for agent in instance.agents:
         if agent.id not in by_id:
             raise FileFormatError(f"missing moves for agent {agent.id}")
         cells = [agent.start]
         for t, letter in enumerate(by_id[agent.id], start=1):
-            d = _MOVES.get(letter)
-            if d is None:
+            step = _LETTER_STEPS.get(letter)
+            if step is None:
                 raise FileFormatError(f"agent {agent.id}: bad move {letter!r} at step {t}")
-            if d is not Direction.WAIT and d not in instance.directions:
+            if step not in allowed:
                 raise FileFormatError(
                     f"agent {agent.id}: move {letter} at step {t} not in the "
                     f"instance direction set"
                 )
-            nxt = d.apply(cells[-1])
+            nxt = Cell(cells[-1].col + step[0], cells[-1].row + step[1])
             if not instance.grid.is_free(nxt):
                 raise FileFormatError(
                     f"agent {agent.id}: step {t} moves into {nxt}, which is not free"

@@ -731,8 +731,8 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
     def start_field(c: Clause) -> list[int]:
         return kernel.dist_from(kernel.cid(agents[c.id].start), meta.sign_directions(c.side))
 
-    def goal_field(c: Clause, dirs: DirectionSet) -> list[int]:
-        return kernel.dist_to(kernel.cid(agents[c.id].goal), dirs)
+    def goal_field(c: Clause) -> list[int]:
+        return kernel.dist_to(kernel.cid(agents[c.id].goal), meta.sign_directions(c.side))
 
     # 1. unique start-to-opening distances per sign
     problems = []
@@ -811,7 +811,7 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
     problems = []
     for c in clauses:
         agent = agents[c.id]
-        to_goal = goal_field(c, meta.sign_directions(c.side))
+        to_goal = goal_field(c)
         total = at(to_goal, agent.start)
         if total is None:
             problems.append(f"agent {c.id} cannot reach its target")
@@ -873,8 +873,11 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
     problems = []
     for c in clauses:
         start = agents[c.id].start
-        d_free = at(goal_field(c, FOUR_DIRECTIONS), start)
-        d_sign = at(goal_field(c, meta.sign_directions(c.side)), start)
+        # Read once, so not memoized: one such field per clause would
+        # otherwise stay alive until the call returns.
+        goal = kernel.cid(agents[c.id].goal)
+        d_free = at(kernel.dist_to_avoiding(goal, FOUR_DIRECTIONS, ()), start)
+        d_sign = at(goal_field(c), start)
         if d_free != d_sign:
             problems.append(
                 f"agent {c.id}: unrestricted distance {d_free} beats two-direction {d_sign}"

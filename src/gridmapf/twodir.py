@@ -33,6 +33,7 @@ from .core import (
     Instance,
     Solution,
     TimedPath,
+    _GridKernel,
 )
 
 
@@ -128,56 +129,68 @@ def plan_monotone_path(
     ends are memoized, so every cell of the start-goal bounding box is
     expanded at most once and the cost is O(area of the box).
     """
-    blocked = blocked if isinstance(blocked, (set, frozenset)) else set(blocked)
-    if goal.col < start.col or goal.row < start.row:
-        return None
     if not grid.is_free(start) or not grid.is_free(goal):
         return None
-    if start in blocked or goal in blocked:
+    kernel = _GridKernel(grid)
+    for cell in blocked:
+        if grid.in_bounds(cell):
+            kernel.free[kernel.cid(cell)] = 0
+    path = _monotone_ids(
+        kernel.free, grid.width, kernel.cid(start), kernel.cid(goal), right_first, stats
+    )
+    return None if path is None else MonotonePath(tuple(map(kernel.cell, path)))
+
+
+def _monotone_ids(
+    free: bytearray,
+    width: int,
+    start: int,
+    goal: int,
+    right_first: bool,
+    stats: Optional[SolverStats],
+) -> Optional[list[int]]:
+    """``plan_monotone_path`` over row-major cell ids: ``free[cid]`` is 0 for
+    cells the path may not enter, a right move adds 1 and a down move adds
+    ``width``.  Dead ends are zeroed in ``free`` during the search and set
+    back to 1 before it returns."""
+    goal_col = goal % width
+    if goal_col < start % width or goal < start or not (free[start] and free[goal]):
         return None
-    if right_first:
-        moves = (Direction.RIGHT, Direction.DOWN)
-    else:
-        moves = (Direction.DOWN, Direction.RIGHT)
-
-    failed: set[Cell] = set()
-    stack: list[list] = [[start, 0]]  # (cell, number of moves already tried)
+    right = 0 if right_first else 1  # the try, first or second, that goes right
+    # tried[i]: moves tried at path[i] when path[i + 1] was entered.
+    path, tried, dead = [start], [], []
+    cur, k, visited = start, 0, 1
+    while cur != goal:
+        # Take cur's next move that stays in the goal's box and enters a
+        # free cell; with none left, cur is a dead end.
+        nxt = -1
+        while nxt < 0 and k < 2:
+            if k == right:
+                nxt = cur + 1 if cur % width < goal_col and free[cur + 1] else -1
+            else:
+                nxt = cur + width if cur + width <= goal and free[cur + width] else -1
+            k += 1
+        if nxt >= 0:
+            path.append(nxt)
+            tried.append(k)
+            cur, k = nxt, 0
+            visited += 1
+        else:
+            free[cur] = 0
+            dead.append(cur)
+            path.pop()
+            if not path:
+                break
+            cur, k = path[-1], tried.pop()
+    for cid in dead:
+        free[cid] = 1
     if stats is not None:
-        stats.visited_cells += 1
-    while stack:
-        cell, tried = stack[-1]
-        if cell == goal:
-            return MonotonePath(tuple(entry[0] for entry in stack))
-        if tried == 2:
-            failed.add(cell)
-            stack.pop()
-            continue
-        stack[-1][1] = tried + 1
-        nxt = moves[tried].apply(cell)
-        if (
-            nxt.col <= goal.col
-            and nxt.row <= goal.row
-            and nxt not in failed
-            and nxt not in blocked
-            and grid.is_free(nxt)
-        ):
-            stack.append([nxt, 0])
-            if stats is not None:
-                stats.visited_cells += 1
-    return None
-
-
-def region_above(path: MonotonePath) -> set[Cell]:
-    """Cells of the path plus every cell above one of them (smaller row)."""
-    region: set[Cell] = set()
-    for cell in path.cells:
-        for row in range(cell.row + 1):
-            region.add(Cell(cell.col, row))
-    return region
+        stats.visited_cells += visited
+    return path or None
 
 
 def weakly_above(q: MonotonePath, p: MonotonePath) -> bool:
-    """True iff every cell of ``q`` lies in ``region_above(p)``."""
+    """True iff every cell of ``q`` is in a column of ``p``, no deeper than ``p`` there."""
     deepest: dict[int, int] = {}
     for cell in p.cells:
         deepest[cell.col] = max(deepest.get(cell.col, -1), cell.row)
@@ -202,30 +215,27 @@ def solve_two_dir(
     if not check_two_directional(instance):
         return None
 
-    blocked: set[Cell] = set(instance.grid.obstacles)
-    found: dict[int, MonotonePath] = {}
+    # The kernel is local, so its free mask doubles as the planner's: it
+    # also bars the group's planned paths and earlier groups' goals.
+    kernel = _GridKernel(instance.grid)
+    free, width = kernel.free, kernel.width
+    found: dict[int, list[int]] = {}
     for group in partition_diagonals(instance):
-        group_cells: set[Cell] = set()
         for agent in group:
-            path = plan_monotone_path(
-                instance.grid,
-                blocked,
-                agent.start,
-                agent.goal,
-                right_first=right_first,
-                stats=stats,
+            path = _monotone_ids(
+                free, width, kernel.cid(agent.start), kernel.cid(agent.goal), right_first, stats
             )
             if path is None:
                 return None
             if stats is not None:
                 stats.planned_agents += 1
             found[agent.id] = path
-            for cell in path.cells:
-                if cell not in blocked:
-                    group_cells.add(cell)
-                    blocked.add(cell)
-        blocked -= group_cells
-        for agent in group:
-            blocked.add(agent.goal)
+            for cid in path:
+                free[cid] = 0
+        for agent in group:  # reopen the paths, but not their goals
+            for cid in found[agent.id][:-1]:
+                free[cid] = 1
 
-    return Solution(tuple(found[a.id].to_timed_path() for a in instance.agents))
+    return Solution(
+        tuple(TimedPath(tuple(map(kernel.cell, found[a.id]))) for a in instance.agents)
+    )

@@ -167,6 +167,23 @@ class TestSolveAndOracle:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "map_text, sol_text",
+        [
+            ("height \u00b2\nwidth 3\nmap\n...\n...\n", "agent 1 RD\nagent 2 R\n"),
+            (DR_MAP, "agent --5 R\n"),
+        ],
+    )
+    def test_malformed_integer_reports_line(self, workdir, capsys, map_text, sol_text):
+        (workdir / "odd.map").write_text(map_text, encoding="utf-8")
+        (workdir / "odd.sol").write_text(sol_text, encoding="utf-8")
+        rc = run(
+            "verify", workdir / "odd.map", workdir / "yes.agents",
+            "--solution", workdir / "odd.sol",
+        )
+        assert rc == 1
+        assert "line" in capsys.readouterr().err
+
 
 class TestCompiledPipeline:
     def test_full_pipeline(self, workdir, capsys):

@@ -22,10 +22,21 @@ from gridmapf.core import (
     VERTEX_EDGE,
     is_individually_optimal,
     lower_bound_cost,
-    neighbors,
     shortest_dist_field,
     validate_solution,
 )
+
+
+def neighbors(grid, cell, dirs):
+    """Free cells reachable from ``cell`` in one motion step (waits excluded)."""
+    if not grid.is_free(cell):
+        raise ValueError(f"{cell} is not a free cell of the grid")
+    result = []
+    for d in dirs.ordered():
+        nxt = d.apply(cell)
+        if grid.is_free(nxt):
+            result.append(nxt)
+    return result
 
 
 def bfs_ref(grid, start, goal, dirs):

@@ -58,6 +58,12 @@ class TestMapFormat:
         with pytest.raises(FileFormatError):
             read_map("width 2\nheight 1\nmap\n..\n")
 
+    @pytest.mark.parametrize("value", ["\u00b2", "-3", "x"])
+    def test_bad_dimension_carries_line(self, value):
+        with pytest.raises(FileFormatError) as e:
+            read_map(f"height 1\nwidth {value}\nmap\n..\n")
+        assert e.value.line == 2
+
 
 class TestAgentsFormat:
     def test_roundtrip(self):
@@ -130,6 +136,13 @@ class TestSolutionFormat:
         inst = small_instance()
         with pytest.raises(FileFormatError):
             read_solution("agent 0 RDD\n", inst)
+
+    @pytest.mark.parametrize("aid", ["--5", "\u00b2", "1x"])
+    def test_bad_agent_id_carries_line(self, aid):
+        inst = small_instance()
+        with pytest.raises(FileFormatError) as e:
+            read_solution(f"agent 0 RDD\nagent {aid} RR\n", inst)
+        assert e.value.line == 2
 
 
 class TestMetadataFormat:

@@ -30,10 +30,18 @@ from gridmapf.twodir import (
     diagonal_key,
     partition_diagonals,
     plan_monotone_path,
-    region_above,
     solve_two_dir,
     weakly_above,
 )
+
+
+def region_above(path):
+    """Cells of the path plus every cell above one of them (smaller row)."""
+    region = set()
+    for cell in path.cells:
+        for row in range(cell.row + 1):
+            region.add(Cell(cell.col, row))
+    return region
 
 
 def all_monotone_paths(grid, blocked, start, goal):
