@@ -11,7 +11,7 @@ origin at the top-left.  "Up" therefore means ``row - 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -112,39 +112,80 @@ THREE_DIRECTIONS = DirectionSet(
 FOUR_DIRECTIONS = DirectionSet(frozenset(MOTION_DIRECTIONS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GridMap:
-    """A rectangular grid with obstacle cells removed."""
+    """A rectangular grid with obstacle cells removed.
+
+    Stored as one row-major free mask: ``free[row * width + col]`` is 1 for
+    a free cell and 0 for an obstacle.  Grids are equal when their sizes and
+    masks are.  ``obstacles`` is derived from the mask on first access.
+    """
 
     width: int
     height: int
-    obstacles: frozenset[Cell] = frozenset()
+    free: bytes = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError("grid dimensions must be positive")
-        object.__setattr__(self, "obstacles", frozenset(self.obstacles))
-        for cell in self.obstacles:
-            if not self.in_bounds(cell):
-                raise ValueError(f"obstacle {cell} outside {self.width}x{self.height} grid")
+    def _derive_obstacles(self) -> frozenset[Cell]:
+        w = self.width
+        return frozenset(Cell(i % w, i // w) for i, f in enumerate(self.free) if not f)
+
+    # A field, so that dataclasses.replace carries it over; a cached_property
+    # (not __getattr__, which would slow every attribute read), so that it is
+    # built on first access only.
+    obstacles: frozenset[Cell] = field(
+        default=cached_property(_derive_obstacles), compare=False, repr=False
+    )
+
+    def __init__(self, width: int, height: int, obstacles: Iterable[Cell] = frozenset()) -> None:
+        _check_size(width, height)
+        free = bytearray(b"\x01") * (width * height)
+        for cell in obstacles:
+            col, row = cell
+            if not (0 <= col < width and 0 <= row < height):
+                raise ValueError(f"obstacle {cell} outside {width}x{height} grid")
+            free[row * width + col] = 0
+        self._store(width, height, bytes(free))
+
+    @classmethod
+    def from_mask(cls, width: int, height: int, free: bytes | bytearray) -> "GridMap":
+        """The grid whose row-major free mask is ``free`` (1 free, 0 obstacle)."""
+        _check_size(width, height)
+        free = bytes(free)
+        if len(free) != width * height:
+            raise ValueError(f"free mask has {len(free)} cells, expected {width}x{height}")
+        if free.translate(None, b"\x00\x01"):
+            raise ValueError("free mask bytes must be 0 or 1")
+        grid = cls.__new__(cls)
+        grid._store(width, height, free)
+        return grid
+
+    def _store(self, width: int, height: int, free: bytes) -> None:
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "free", free)
 
     def in_bounds(self, cell: Cell) -> bool:
         return 0 <= cell.col < self.width and 0 <= cell.row < self.height
 
     def is_free(self, cell: Cell) -> bool:
-        col, row = cell  # in_bounds inlined: runs once per step of every path read
-        return 0 <= col < self.width and 0 <= row < self.height and cell not in self.obstacles
+        col, row = cell  # in_bounds inlined
+        w = self.width
+        return 0 <= col < w and 0 <= row < self.height and self.free[row * w + col] == 1
 
     @property
     def free_count(self) -> int:
-        return self.width * self.height - len(self.obstacles)
+        return self.free.count(1)
 
     def free_cells(self) -> Iterator[Cell]:
-        for row in range(self.height):
-            for col in range(self.width):
-                cell = Cell(col, row)
-                if cell not in self.obstacles:
-                    yield cell
+        w = self.width
+        for i, f in enumerate(self.free):
+            if f:
+                yield Cell(i % w, i // w)
+
+
+def _check_size(width: int, height: int) -> None:
+    if width < 1 or height < 1:
+        raise ValueError("grid dimensions must be positive")
 
 
 @dataclass(frozen=True)
@@ -325,10 +366,8 @@ class _GridKernel:
     """
 
     def __init__(self, grid: GridMap) -> None:
-        self.width, self.height = w, h = grid.width, grid.height
-        self.free = bytearray(b"\x01") * (w * h)
-        for cell in grid.obstacles:
-            self.free[cell.row * w + cell.col] = 0
+        self.width, self.height = grid.width, grid.height
+        self.free = bytearray(grid.free)
         self._tables: dict[tuple[frozenset[Direction], bool], list[tuple[int, ...]]] = {}
         self._fields: dict[tuple[frozenset[Direction], int, bool], tuple[list[int], list[int]]] = {}
 
@@ -477,10 +516,13 @@ def validate_solution(
     n = len(cells)
     horizon = max((len(c) for c in cells), default=1)
 
-    # Malformed single-agent steps.
+    # Malformed single-agent steps.  GridMap.is_free inlined on the mask.
+    grid = instance.grid
+    free, w, h = grid.free, grid.width, grid.height
     for aid, path in zip(ids, cells):
         for t, cell in enumerate(path):
-            if not instance.grid.is_free(cell):
+            col, row = cell
+            if not (0 <= col < w and 0 <= row < h and free[row * w + col]):
                 conflicts.append(Conflict(t, "illegal-step", (aid,), (cell,)))
         for t in range(1, len(path)):
             a, b = path[t - 1], path[t]

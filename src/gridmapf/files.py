@@ -31,16 +31,16 @@ class FileFormatError(ValueError):
         super().__init__(message)
 
 
+# Map rows spell the free mask: "." for 1 (free), "@" for 0 (obstacle).
+_MASK_TO_TEXT = bytes.maketrans(b"\x01\x00", b".@")
+_TEXT_TO_MASK = bytes.maketrans(b".@", b"\x01\x00")
+
+
 def write_map(grid: GridMap) -> str:
-    lines = [f"height {grid.height}", f"width {grid.width}", "map"]
-    for row in range(grid.height):
-        lines.append(
-            "".join(
-                "." if Cell(col, row) not in grid.obstacles else "@"
-                for col in range(grid.width)
-            )
-        )
-    return "\n".join(lines) + "\n"
+    w = grid.width
+    text = grid.free.translate(_MASK_TO_TEXT).decode("ascii")
+    rows = [text[i : i + w] for i in range(0, len(text), w)]
+    return "\n".join([f"height {grid.height}", f"width {w}", "map", *rows]) + "\n"
 
 
 def read_map(text: str) -> GridMap:
@@ -54,24 +54,26 @@ def read_map(text: str) -> GridMap:
         if len(parts) != 2 or parts[0] != key or not parts[1].isdecimal():
             raise FileFormatError(f"expected '{key} <n>'", i + 1)
         header[key] = int(parts[1])
+        if header[key] < 1:
+            raise FileFormatError(f"{key} must be positive", i + 1)
     if lines[2].strip() != "map":
         raise FileFormatError("expected 'map'", 3)
     height, width = header["height"], header["width"]
     rows = lines[3 : 3 + height]
     if len(rows) != height:
         raise FileFormatError(f"expected {height} map rows, found {len(rows)}")
-    obstacles = set()
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise FileFormatError(
-                f"row has {len(row)} cells, expected {width}", 4 + r
-            )
-        for c, ch in enumerate(row):
-            if ch == "@":
-                obstacles.add(Cell(c, r))
-            elif ch != ".":
-                raise FileFormatError(f"bad map character {ch!r}", 4 + r)
-    return GridMap(width, height, frozenset(obstacles))
+    body = "".join(rows)
+    if any(len(row) != width for row in rows) or body.replace(".", "").replace("@", ""):
+        for r, row in enumerate(rows):
+            if len(row) != width:
+                raise FileFormatError(f"row has {len(row)} cells, expected {width}", 4 + r)
+            for ch in row:
+                if ch not in ".@":
+                    raise FileFormatError(f"bad map character {ch!r}", 4 + r)
+    for lineno, line in enumerate(lines[3 + height :], start=4 + height):
+        if line.strip():
+            raise FileFormatError(f"text after the {height} map rows", lineno)
+    return GridMap.from_mask(width, height, body.encode("ascii").translate(_TEXT_TO_MASK))
 
 
 def write_agents(instance: Instance) -> str:
@@ -87,6 +89,9 @@ def write_agents(instance: Instance) -> str:
 def read_agents(text: str, grid: GridMap) -> Instance:
     directions: Optional[DirectionSet] = None
     agents: list[AgentTask] = []
+    ids: set[int] = set()
+    starts: dict[Cell, int] = {}  # cell -> id of the agent that starts there
+    goals: dict[Cell, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -110,17 +115,23 @@ def read_agents(text: str, grid: GridMap) -> Instance:
                 raise FileFormatError("agent fields must be integers", lineno) from None
             team = parts[6] if len(parts) == 7 else None
             start, goal = Cell(scol, srow), Cell(gcol, grow)
-            for cell, label in ((start, "start"), (goal, "goal")):
+            if aid in ids:
+                raise FileFormatError(f"duplicate agent id {aid}", lineno)
+            for cell, label, seen in ((start, "start", starts), (goal, "goal", goals)):
                 if not grid.is_free(cell):
                     raise FileFormatError(f"{label} {cell} is not a free cell", lineno)
+                if cell in seen:
+                    raise FileFormatError(
+                        f"agent {aid}: {label} {cell} is also the {label} of agent {seen[cell]}",
+                        lineno,
+                    )
+                seen[cell] = aid
+            ids.add(aid)
             agents.append(AgentTask(aid, start, goal, team))
         else:
             raise FileFormatError(f"unknown directive {parts[0]!r}", lineno)
     if directions is None:
         raise FileFormatError("missing directions line")
-    ids = [a.id for a in agents]
-    if len(set(ids)) != len(ids):
-        raise FileFormatError("duplicate agent id")
     teams = None
     if any(a.team is not None for a in agents):
         if any(a.team is None for a in agents):
@@ -168,6 +179,8 @@ def read_solution(text: str, instance: Instance) -> Solution:
         by_id[aid] = "" if parts[2] == "-" else parts[2]
     paths = []
     allowed = {*instance.directions._steps, Direction.WAIT.value}
+    grid = instance.grid
+    free, w, h = grid.free, grid.width, grid.height
     for agent in instance.agents:
         if agent.id not in by_id:
             raise FileFormatError(f"missing moves for agent {agent.id}")
@@ -181,8 +194,10 @@ def read_solution(text: str, instance: Instance) -> Solution:
                     f"agent {agent.id}: move {letter} at step {t} not in the "
                     f"instance direction set"
                 )
-            nxt = Cell(cells[-1].col + step[0], cells[-1].row + step[1])
-            if not instance.grid.is_free(nxt):
+            col, row = cells[-1].col + step[0], cells[-1].row + step[1]
+            nxt = Cell(col, row)
+            # GridMap.is_free inlined on the mask: runs once per step read.
+            if not (0 <= col < w and 0 <= row < h and free[row * w + col]):
                 raise FileFormatError(
                     f"agent {agent.id}: step {t} moves into {nxt}, which is not free"
                 )

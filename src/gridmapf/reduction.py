@@ -34,7 +34,6 @@ toward the opening every step.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -492,13 +491,7 @@ def compile_formula(
         )
 
     seg.audit()
-    obstacles = frozenset(
-        Cell(col, row)
-        for row in range(height)
-        for col in range(plan.width)
-        if Cell(col, row) not in seg.free
-    )
-    grid = GridMap(plan.width, height, obstacles)
+    grid = _layout_grid(plan.width, height, seg.free)
     agents = tuple(
         AgentTask(
             id=c.id,
@@ -523,6 +516,16 @@ def compile_formula(
     )
     _compile_sanity(instance, meta)
     return instance, meta
+
+
+def _layout_grid(width: int, height: int, cells: set[Cell]) -> GridMap:
+    """The grid whose free cells are ``cells``."""
+    free = bytearray(width * height)
+    for col, row in cells:
+        if not (0 <= col < width and 0 <= row < height):
+            raise LayoutError(f"corridor cell {Cell(col, row)} outside the {width}x{height} layout")
+        free[row * width + col] = 1
+    return GridMap.from_mask(width, height, free)
 
 
 def _entry_distances(
@@ -601,14 +604,14 @@ def makespan_variant(
         for k in range(1, ext + 1):
             extension_cells.add(Cell(agent.goal.col + k, agent.goal.row))
     old = instance.grid
-    new_width = max([old.width] + [g.col + 1 for g in new_goals.values()])
-    widening = (
-        Cell(col, row) for row in range(old.height) for col in range(old.width, new_width)
-    )
-    obstacles = frozenset(
-        cell for cell in itertools.chain(old.obstacles, widening) if cell not in extension_cells
-    )
-    grid = GridMap(new_width, old.height, obstacles)
+    w = old.width
+    new_width = max([w] + [g.col + 1 for g in new_goals.values()])
+    free = bytearray(new_width * old.height)
+    for r in range(old.height):
+        free[r * new_width : r * new_width + w] = old.free[r * w : (r + 1) * w]
+    for col, row in extension_cells:
+        free[row * new_width + col] = 1
+    grid = GridMap.from_mask(new_width, old.height, free)
     agents = tuple(
         AgentTask(id=a.id, start=a.start, goal=new_goals[a.id], team=a.team)
         for a in instance.agents

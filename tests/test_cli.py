@@ -185,6 +185,22 @@ class TestSolveAndOracle:
         assert "line" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "map_text",
+        ["height 0\nwidth 3\nmap\n", DR_MAP + "...\n"],
+        ids=["zero-height", "extra-row"],
+    )
+    def test_bad_map_shape_reports_line(self, workdir, capsys, map_text):
+        (workdir / "odd.map").write_text(map_text)
+        assert run("solve2dir", workdir / "odd.map", workdir / "yes.agents") == 1
+        assert "line" in capsys.readouterr().err
+
+    def test_duplicate_start_reports_line(self, workdir, capsys):
+        (workdir / "twice.agents").write_text(DR_AGENTS_YES + "agent 3 1 0 0 0\n")
+        assert run("solve2dir", workdir / "dr.map", workdir / "twice.agents") == 1
+        assert "line 4" in capsys.readouterr().err
+
+
 class TestCompiledPipeline:
     def test_full_pipeline(self, workdir, capsys):
         run("compile", workdir / "sat.formula", "--out-prefix", workdir / "m")

@@ -64,6 +64,47 @@ class TestMapFormat:
             read_map(f"height 1\nwidth {value}\nmap\n..\n")
         assert e.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("height 0\nwidth 2\nmap\n", 1),
+            ("height 00\nwidth 2\nmap\n..\n", 1),
+            ("height 1\nwidth 0\nmap\n\n", 2),
+        ],
+    )
+    def test_zero_dimension_carries_line(self, text, line):
+        with pytest.raises(FileFormatError, match="must be positive") as e:
+            read_map(text)
+        assert e.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("height 2\nwidth 2\nmap\n..\n..\n.@\n", 6),
+            ("height 1\nwidth 2\nmap\n..\n\n  \nx\n", 7),
+            ("height 1\nwidth 2\nmap\n..\n..\n", 5),
+        ],
+    )
+    def test_text_after_the_rows_carries_line(self, text, line):
+        with pytest.raises(FileFormatError, match="after the") as e:
+            read_map(text)
+        assert e.value.line == line
+
+    def test_blank_lines_after_the_rows_allowed(self):
+        grid = read_map("height 1\nwidth 2\nmap\n.@\n\n   \n\t\n")
+        assert grid == GridMap(2, 1, frozenset({Cell(1, 0)}))
+
+    def test_first_bad_row_reported_in_file_order(self):
+        with pytest.raises(FileFormatError, match="bad map character") as e:
+            read_map("height 3\nwidth 2\nmap\n..\n.x\n...\n")
+        assert e.value.line == 5
+        with pytest.raises(FileFormatError, match="row has 3 cells") as e:
+            read_map("height 3\nwidth 2\nmap\n..\n...\n.x\n")
+        assert e.value.line == 5
+        with pytest.raises(FileFormatError, match="bad map character '\u00e9'") as e:
+            read_map("height 1\nwidth 2\nmap\n.\u00e9\n")
+        assert e.value.line == 4
+
 
 class TestAgentsFormat:
     def test_roundtrip(self):
@@ -101,6 +142,20 @@ class TestAgentsFormat:
         text = "directions DR\nagent 0 0 0 1 1\nagent 0 1 0 2 2\n"
         with pytest.raises(FileFormatError):
             read_agents(text, grid)
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ("agent 0 1 0 2 2", "duplicate agent id 0"),
+            ("agent 1 0 0 2 2", r"agent 1: start Cell\(col=0, row=0\) is also the start of agent 0"),
+            ("agent 1 1 0 1 1", r"agent 1: goal Cell\(col=1, row=1\) is also the goal of agent 0"),
+        ],
+    )
+    def test_duplicate_reported_at_second_occurrence(self, second, message):
+        text = f"directions DR\n# two agents\nagent 0 0 0 1 1\n\n{second}\nagent 2 2 0 2 1\n"
+        with pytest.raises(FileFormatError, match=message) as e:
+            read_agents(text, GridMap(3, 3))
+        assert e.value.line == 5
 
 
 class TestSolutionFormat:
