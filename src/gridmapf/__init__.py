@@ -40,7 +40,6 @@ from .formula import (
     brute_force_sat,
     evaluate,
     format_formula,
-    nesting_levels,
     parse_formula,
     validate_planar_monotone,
 )
@@ -64,7 +63,6 @@ from .reduction import (
     LayoutError,
     ReductionMetadata,
     compile_formula,
-    compute_l,
     compute_w,
     extract_assignment,
     makespan_variant,

@@ -13,7 +13,13 @@ from typing import Optional, Sequence
 
 from . import files, render
 from .core import ConflictModel, Instance, validate_solution
-from .formula import EmbeddingError, FormulaError, brute_force_sat, validate_planar_monotone
+from .formula import (
+    EmbeddingError,
+    FormulaError,
+    brute_force_sat,
+    parse_formula,
+    validate_planar_monotone,
+)
 from .oracle import (
     BudgetExceededError,
     NoSolutionError,
@@ -65,7 +71,7 @@ def _seconds(text: str) -> float:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     try:
-        formula = files.read_formula(Path(args.formula).read_text())
+        formula = parse_formula(Path(args.formula).read_text())
         forest = validate_planar_monotone(formula)
         instance, meta = compile_formula(formula, forest)
         if args.variant == "makespan":
@@ -192,7 +198,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_sat(args: argparse.Namespace) -> int:
     try:
-        formula = files.read_formula(Path(args.formula).read_text())
+        formula = parse_formula(Path(args.formula).read_text())
         assignment = brute_force_sat(formula)
     except (FormulaError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

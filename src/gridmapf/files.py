@@ -19,7 +19,7 @@ from .core import (
     Solution,
     TimedPath,
 )
-from .formula import MonotoneFormula, format_formula, parse_formula
+from .formula import parse_formula
 from .reduction import ChannelSpec, LadderSpec, ReductionMetadata
 
 
@@ -286,11 +286,3 @@ def read_metadata(text: str) -> ReductionMetadata:
         ladders=tuple(ladders),
         formula=formula,
     )
-
-
-def read_formula(text: str) -> MonotoneFormula:
-    return parse_formula(text)
-
-
-def write_formula(formula: MonotoneFormula) -> str:
-    return format_formula(formula)

@@ -278,25 +278,6 @@ def validate_planar_monotone(formula: MonotoneFormula) -> NestingForest:
     )
 
 
-def nesting_levels(forest: NestingForest) -> dict[int, int]:
-    """Recompute levels from the parent relation alone."""
-    children: dict[int, list[int]] = {cid: [] for cid in forest.parent}
-    for cid, p in forest.parent.items():
-        if p is not None:
-            children[p].append(cid)
-    levels: dict[int, int] = {}
-
-    def level(cid: int) -> int:
-        if cid not in levels:
-            kids = children[cid]
-            levels[cid] = 0 if not kids else 1 + max(level(k) for k in kids)
-        return levels[cid]
-
-    for cid in forest.parent:
-        level(cid)
-    return levels
-
-
 def brute_force_sat(
     formula: MonotoneFormula, max_vars: int = 24
 ) -> Optional[tuple[bool, ...]]:

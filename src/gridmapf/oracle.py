@@ -13,7 +13,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Container, Iterator, Optional, Sequence
 
 from .core import (
     Cell,
@@ -98,13 +98,21 @@ class _Compiled:
         lengths = [dist[start] for dist, start in zip(self.dist, self.starts)]
         return None if min(lengths, default=0) < 0 else sum(lengths)
 
-    def descents(self, i: int, cid: int) -> tuple[int, ...]:
-        """Neighbours of ``cid`` one move closer to agent ``i``'s goal."""
-        dist = self.dist[i]
-        want = dist[cid] - 1
-        if want < 0:
-            return ()
-        return tuple(n for n in self.nbr[cid] if dist[n] == want)
+    def descent_moves(self, cur: tuple[int, ...], model: ConflictModel) -> Iterator[tuple[int, ...]]:
+        """Every conflict-free joint move in which each unfinished agent steps
+        one cell closer to its goal and each finished agent rests there."""
+        active: list[int] = []
+        choices: list[tuple[int, ...]] = []
+        static_cells: set[int] = set()
+        for i, (here, goal) in enumerate(zip(cur, self.goals)):
+            if here == goal:
+                static_cells.add(here)
+                continue
+            dist = self.dist[i]
+            want = dist[here] - 1
+            active.append(i)
+            choices.append(tuple(c for c in self.nbr[here] if dist[c] == want))
+        return _joint_moves(cur, active, choices, static_cells, model)
 
     def solution_from_states(self, states: Sequence[tuple[int, ...]]) -> Solution:
         paths = []
@@ -114,82 +122,95 @@ class _Compiled:
         return Solution(tuple(paths))
 
 
-def _descent_successors(
+def _joint_moves(
     cur: tuple[int, ...],
-    movers: list[int],
-    comp: _Compiled,
-    static_cells: frozenset[int],
+    active: Sequence[int],
+    choices: Sequence[Sequence[int]],
+    static_cells: Container[int],
     model: ConflictModel,
 ) -> Iterator[tuple[int, ...]]:
-    """All conflict-free joint moves in which every unfinished agent descends.
+    """Every conflict-free joint move out of ``cur``, in product order.
 
-    Every mover strictly decreases its goal distance; finished agents rest
-    at their goals.  Successors come out in a fixed deterministic order.
+    Agent ``active[k]`` takes a cell from ``choices[k]`` and every other
+    agent stays put.  Vertex conflicts, against ``static_cells`` and the
+    earlier choices, are pruned per assignment, and so are edge and
+    following conflicts, by one pass over the earlier movers.  Cycle
+    conflicts are checked on the complete move.
     """
-    n = len(cur)
-    choices = [comp.descents(i, cur[i]) for i in movers]
-    mover_cells = frozenset(cur[i] for i in movers)
-    assignment: list[int] = [0] * len(movers)
+    nxt = list(cur)
+    last = len(active)
+    vertex = model.forbid_vertex
+    following = model.forbid_following
+    pairs = following or model.forbid_edge
     chosen: set[int] = set()
 
-    def emit() -> tuple[int, ...]:
-        nxt = list(cur)
-        for k, i in enumerate(movers):
-            nxt[i] = assignment[k]
-        return tuple(nxt)
-
     def rec(k: int) -> Iterator[tuple[int, ...]]:
-        if k == len(movers):
-            nxt = emit()
-            if model.forbid_cycle and _has_rotation(cur, nxt, minimum=2):
-                return
-            yield nxt
+        if k == last:
+            move = tuple(nxt)
+            if not (model.forbid_cycle and _has_rotation(cur, move)):
+                yield move
             return
-        i = movers[k]
+        i = active[k]
+        here = cur[i]
         for c in choices[k]:
-            if model.forbid_vertex and (c in static_cells or c in chosen):
+            if vertex and (c in chosen or c in static_cells):
                 continue
-            if model.forbid_following and c != cur[i] and c in mover_cells:
-                continue
-            if model.forbid_edge:
-                swap = False
-                for k2 in range(k):
-                    j = movers[k2]
-                    if c == cur[j] and assignment[k2] == cur[i]:
-                        swap = True
+            # without the following rule only a swap clashes, and a swap
+            # needs c to be some agent's cell: ``c in cur`` rules most out
+            if pairs and c != here and (following or c in cur):
+                clash = False
+                for earlier in range(k):
+                    j = active[earlier]
+                    left = cur[j]
+                    if c == left:
+                        # i enters j's cell: a swap, or following if j left it
+                        clash = nxt[j] != left and (following or nxt[j] == here)
+                    elif following and nxt[j] == here:
+                        # j enters i's cell, having left its own
+                        clash = left != here
+                    if clash:
                         break
-                if swap:
+                if clash:
                     continue
-            assignment[k] = c
-            chosen.add(c)
+            nxt[i] = c
+            if vertex:
+                chosen.add(c)
             yield from rec(k + 1)
             chosen.discard(c)
 
-    yield from rec(0)
+    return rec(0)
 
 
-def _has_rotation(cur: tuple[int, ...], nxt: tuple[int, ...], minimum: int) -> bool:
-    """Detect a rotating cycle of movers of length >= ``minimum``."""
-    n = len(cur)
-    at_cur = {cur[i]: i for i in range(n)}
-    for start in range(n):
+def _has_rotation(cur: tuple[int, ...], nxt: tuple[int, ...]) -> bool:
+    """Detect movers rotating round a cycle, each into the cell the next leaves.
+
+    A cell held by several agents stands for the last of them, as in
+    ``validate_solution``.
+    """
+    at_cur = {c: i for i, c in enumerate(cur)}
+    for start in range(len(cur)):
         if nxt[start] == cur[start]:
             continue
-        length = 0
         i = start
         seen = set()
         while True:
             j = at_cur.get(nxt[i])
             if j is None or nxt[j] == cur[j] or j in seen:
                 break
-            seen.add(j)
-            length += 1
             if j == start:
-                if length >= minimum:
-                    return True
-                break
+                return True
+            seen.add(j)
             i = j
     return False
+
+
+def _trail(parent: dict, key: object) -> list:
+    """The keys from the search root down to ``key``."""
+    keys = [key]
+    while parent[keys[-1]] is not None:
+        keys.append(parent[keys[-1]])
+    keys.reverse()
+    return keys
 
 
 def exists_individually_optimal(
@@ -208,29 +229,21 @@ def exists_individually_optimal(
 
 
 def _individually_optimal(comp: _Compiled, model: ConflictModel, budget: SearchBudget) -> Witness:
-    n = len(comp.starts)
     if comp.lower_bound is None:
         return Witness(False, None)
-    if n == 0:
+    if not comp.starts:
         return Witness(True, Solution(()))
 
     clock = _BudgetClock(budget)
     start = comp.starts
-    goals = comp.goals
     parent: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {start: None}
     stack = [start]
     while stack:
         cur = stack.pop()
         clock.tick()
-        movers = [i for i in range(n) if cur[i] != goals[i]]
-        if not movers:
-            states = [cur]
-            while parent[states[-1]] is not None:
-                states.append(parent[states[-1]])
-            states.reverse()
-            return Witness(True, comp.solution_from_states(states))
-        static_cells = frozenset(cur[i] for i in range(n) if cur[i] == goals[i])
-        for nxt in _descent_successors(cur, movers, comp, static_cells, model):
+        if cur == comp.goals:
+            return Witness(True, comp.solution_from_states(_trail(parent, cur)))
+        for nxt in comp.descent_moves(cur, model):
             if nxt not in parent:
                 parent[nxt] = cur
                 stack.append(nxt)
@@ -250,26 +263,22 @@ def enumerate_individually_optimal(
     aborts with an error.
     """
     comp = _Compiled(instance)
-    n = len(comp.starts)
     if comp.lower_bound is None:
         return []
-    if n == 0:
+    if not comp.starts:
         return [Solution(())]
 
     clock = _BudgetClock(budget)
-    goals = comp.goals
     out: list[Solution] = []
     trail: list[tuple[int, ...]] = [comp.starts]
 
     def rec() -> bool:
         clock.tick()
         cur = trail[-1]
-        movers = [i for i in range(n) if cur[i] != goals[i]]
-        if not movers:
+        if cur == comp.goals:
             out.append(comp.solution_from_states(trail))
             return limit is not None and len(out) >= limit
-        static_cells = frozenset(cur[i] for i in range(n) if cur[i] == goals[i])
-        for nxt in _descent_successors(cur, movers, comp, static_cells, model):
+        for nxt in comp.descent_moves(cur, model):
             trail.append(nxt)
             done = rec()
             trail.pop()
@@ -289,9 +298,11 @@ def exists_makespan_at_most(
 ) -> Witness:
     """Decide whether a feasible solution with makespan <= ``bound`` exists.
 
-    Depth-limited joint search with waits allowed.  An agent whose remaining
-    distance exceeds the remaining time is pruned, so when every agent's
-    distance equals the bound the search degenerates to strict descent.
+    Depth-limited joint search.  An agent whose remaining distance exceeds
+    the remaining time is pruned, so when every agent's distance equals the
+    bound the search degenerates to strict descent.  Without waits an agent
+    may stay put only on its goal, and then stays there for good: it is
+    parked, a static obstacle recorded in the state.
     """
     return _makespan_at_most(_Compiled(instance), bound, model, budget)
 
@@ -312,78 +323,48 @@ def _makespan_at_most(
     nbr = comp.nbr
     dist = comp.dist
     waits = comp.instance.directions.waits_allowed
-    start_key = (comp.starts, 0)
-    parent: dict[tuple[tuple[int, ...], int], Optional[tuple[tuple[int, ...], int]]] = {
+    # (positions, time, parked mask); the mask stays 0 when waits are allowed
+    start_key = (comp.starts, 0, 0)
+    parent: dict[tuple[tuple[int, ...], int, int], Optional[tuple[tuple[int, ...], int, int]]] = {
         start_key: None
     }
     stack = [start_key]
-
-    def joint_moves(cur: tuple[int, ...], remaining: int) -> Iterator[tuple[int, ...]]:
-        choices: list[tuple[int, ...]] = []
-        for i in range(n):
-            opts = []
-            if waits or cur[i] == goals[i]:
-                if dist[i][cur[i]] <= remaining:
-                    opts.append(cur[i])
-            for c in nbr[cur[i]]:
-                if 0 <= dist[i][c] <= remaining:
-                    opts.append(c)
-            if not opts:
-                return
-            choices.append(tuple(opts))
-        assignment = [0] * n
-        chosen: set[int] = set()
-
-        def rec(k: int) -> Iterator[tuple[int, ...]]:
-            if k == n:
-                nxt = tuple(assignment)
-                if model.forbid_cycle and _has_rotation(cur, nxt, minimum=2):
-                    return
-                if model.forbid_following:
-                    for i in range(n):
-                        if assignment[i] == cur[i]:
-                            continue
-                        for j in range(n):
-                            if j != i and assignment[i] == cur[j] and assignment[j] != cur[j]:
-                                return
-                yield nxt
-                return
-            for c in choices[k]:
-                if model.forbid_vertex and c in chosen:
-                    continue
-                if model.forbid_edge and c != cur[k]:
-                    swap = False
-                    for k2 in range(k):
-                        if c == cur[k2] and assignment[k2] == cur[k]:
-                            swap = True
-                            break
-                    if swap:
-                        continue
-                assignment[k] = c
-                if model.forbid_vertex:
-                    chosen.add(c)
-                yield from rec(k + 1)
-                chosen.discard(c)
-
-        yield from rec(0)
-
     while stack:
         key = stack.pop()
-        cur, t = key
+        cur, t, parked = key
         clock.tick()
-        if all(cur[i] == goals[i] for i in range(n)):
-            states = [key]
-            while parent[states[-1]] is not None:
-                states.append(parent[states[-1]])
-            states.reverse()
-            return Witness(True, comp.solution_from_states([s[0] for s in states]))
+        if cur == goals:
+            return Witness(True, comp.solution_from_states([k[0] for k in _trail(parent, key)]))
         if t == bound:
             continue
-        for nxt in joint_moves(cur, bound - t - 1):
-            nxt_key = (nxt, t + 1)
-            if nxt_key not in parent:
-                parent[nxt_key] = key
-                stack.append(nxt_key)
+        remaining = bound - t - 1
+        active: list[int] = []
+        choices: list[list[int]] = []
+        for i in range(n):
+            if parked >> i & 1:
+                continue
+            here = cur[i]
+            d = dist[i]
+            opts = [here] if (waits or here == goals[i]) and d[here] <= remaining else []
+            for c in nbr[here]:
+                if 0 <= d[c] <= remaining:
+                    opts.append(c)
+            if not opts:
+                break
+            active.append(i)
+            choices.append(opts)
+        else:
+            static_cells = {cur[i] for i in range(n) if parked >> i & 1} if parked else ()
+            for nxt in _joint_moves(cur, active, choices, static_cells, model):
+                next_parked = parked
+                if not waits:
+                    for i in active:
+                        if nxt[i] == cur[i]:
+                            next_parked |= 1 << i
+                nxt_key = (nxt, t + 1, next_parked)
+                if nxt_key not in parent:
+                    parent[nxt_key] = key
+                    stack.append(nxt_key)
     return Witness(False, None)
 
 
@@ -397,9 +378,10 @@ def optimal_flowtime(
     A* over joint states (positions, finished-set).  A finished agent rests
     at its goal forever; an unfinished agent pays one cost unit per time
     step, moving or not, and may declare itself finished at its goal via a
-    zero-cost transition.  The heuristic is the sum of the unfinished
-    agents' goal distances.  Raises ``NoSolutionError`` when the instance
-    has no feasible solution.
+    zero-cost transition.  Without waits an unfinished agent moves at every
+    step; only finishing lets it stay put.  The heuristic is the sum of the
+    unfinished agents' goal distances.  Raises ``NoSolutionError`` when the
+    instance has no feasible solution.
     """
     return _optimal_flowtime(_Compiled(instance), model, budget)
 
@@ -428,18 +410,15 @@ def _optimal_flowtime(
                 total += dist[i][pos[i]]
         return total
 
+    State = tuple[tuple[int, ...], int]
     start_state = (comp.starts, 0)
-    best: dict[tuple[tuple[int, ...], int], int] = {start_state: 0}
-    parent: dict[
-        tuple[tuple[int, ...], int],
-        Optional[tuple[tuple[tuple[int, ...], int], bool]],
-    ] = {start_state: None}
+    best: dict[State, int] = {start_state: 0}
+    # each state's predecessor, and whether the step to it was a joint move
+    parent: dict[State, Optional[tuple[State, bool]]] = {start_state: None}
     counter = itertools.count()
     heap = [(h(comp.starts, 0), 0, next(counter), start_state)]
 
-    def successors(
-        state: tuple[tuple[int, ...], int]
-    ) -> Iterator[tuple[tuple[tuple[int, ...], int], int, bool]]:
+    def successors(state: State) -> Iterator[tuple[State, int, bool]]:
         cur, mask = state
         for i in range(n):
             if not mask & (1 << i) and cur[i] == goals[i]:
@@ -448,79 +427,25 @@ def _optimal_flowtime(
         if not active:
             return
         static_cells = frozenset(cur[i] for i in range(n) if mask & (1 << i))
-        choices = []
-        for i in active:
-            opts = []
-            if waits or cur[i] == goals[i]:
-                opts.append(cur[i])
-            opts.extend(nbr[cur[i]])
-            choices.append(tuple(opts))
-        step_cost = len(active)
-        assignment = [0] * len(active)
-        chosen: set[int] = set()
-
-        def rec(k: int) -> Iterator[tuple[int, ...]]:
-            if k == len(active):
-                nxt = list(cur)
-                for kk, i in enumerate(active):
-                    nxt[i] = assignment[kk]
-                nxt_t = tuple(nxt)
-                if model.forbid_cycle and _has_rotation(cur, nxt_t, minimum=2):
-                    return
-                if model.forbid_following:
-                    for i in active:
-                        if nxt_t[i] == cur[i]:
-                            continue
-                        for j in range(n):
-                            if j != i and nxt_t[i] == cur[j] and nxt_t[j] != cur[j]:
-                                return
-                yield nxt_t
-                return
-            i = active[k]
-            for c in choices[k]:
-                if model.forbid_vertex and (c in static_cells or c in chosen):
-                    continue
-                if model.forbid_edge and c != cur[i]:
-                    swap = False
-                    for k2 in range(k):
-                        j = active[k2]
-                        if c == cur[j] and assignment[k2] == cur[i]:
-                            swap = True
-                            break
-                    if swap:
-                        continue
-                assignment[k] = c
-                if model.forbid_vertex:
-                    chosen.add(c)
-                yield from rec(k + 1)
-                chosen.discard(c)
-
-        for nxt_t in rec(0):
-            yield (nxt_t, mask), step_cost, True
+        choices = [((cur[i],) if waits else ()) + nbr[cur[i]] for i in active]
+        for nxt in _joint_moves(cur, active, choices, static_cells, model):
+            yield (nxt, mask), len(active), True
 
     while heap:
         f, g, _, state = heapq.heappop(heap)
         if g > best.get(state, -1):
             continue
         clock.tick()
-        pos, mask = state
-        if mask == all_mask:
-            chain = []
-            cursor: Optional[tuple[tuple[int, ...], int]] = state
-            while cursor is not None:
-                link = parent[cursor]
-                if link is None:
-                    chain.append((cursor, True))
-                    cursor = None
-                else:
-                    prev, was_move = link
-                    chain.append((cursor, was_move))
-                    cursor = prev
-            chain.reverse()
-            states = [chain[0][0][0]]
-            for entry, was_move in chain[1:]:
-                if was_move:
-                    states.append(entry[0])
+        if state[1] == all_mask:
+            states = []
+            link = parent[state]
+            while link is not None:
+                if link[1]:
+                    states.append(state[0])
+                state = link[0]
+                link = parent[state]
+            states.append(state[0])
+            states.reverse()
             return g, comp.solution_from_states(states)
         for nxt_state, cost, was_move in successors(state):
             ng = g + cost

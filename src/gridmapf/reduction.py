@@ -566,16 +566,6 @@ def _compile_sanity(instance: Instance, meta: ReductionMetadata) -> None:
             )
 
 
-def compute_l(instance: Instance, meta: ReductionMetadata) -> int:
-    """Largest channel-entry distance over agents and their usable channels.
-
-    Recomputed from scratch with direction-restricted BFS; the compiled
-    layout sets the channel length to exactly this value.
-    """
-    dists = _entry_distances(_GridKernel(instance.grid), instance, meta).values()
-    return max((d for d in dists if d is not None), default=0)
-
-
 def makespan_variant(
     instance: Instance, meta: ReductionMetadata
 ) -> tuple[Instance, ReductionMetadata]:

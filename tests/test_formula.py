@@ -14,10 +14,28 @@ from gridmapf.formula import (
     brute_force_sat,
     evaluate,
     format_formula,
-    nesting_levels,
     parse_formula,
     validate_planar_monotone,
 )
+
+
+def nesting_levels(forest):
+    """Recompute levels from the parent relation alone."""
+    children = {cid: [] for cid in forest.parent}
+    for cid, p in forest.parent.items():
+        if p is not None:
+            children[p].append(cid)
+    levels = {}
+
+    def level(cid):
+        if cid not in levels:
+            kids = children[cid]
+            levels[cid] = 0 if not kids else 1 + max(level(k) for k in kids)
+        return levels[cid]
+
+    for cid in forest.parent:
+        level(cid)
+    return levels
 
 
 def truth_table_sat(formula):

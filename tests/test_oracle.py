@@ -5,11 +5,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from gridmapf.core import (
     AgentTask,
     ALL_CONFLICTS,
     Cell,
+    ConflictModel,
+    DirectionSet,
     DOWN_RIGHT,
     FOUR_DIRECTIONS,
     GridMap,
@@ -19,6 +23,7 @@ from gridmapf.core import (
     VERTEX_EDGE,
     is_individually_optimal,
     lower_bound_cost,
+    shortest_dist_field,
     validate_solution,
 )
 from gridmapf.oracle import (
@@ -33,8 +38,10 @@ from gridmapf.oracle import (
     optimal_flowtime,
     two_colored_decide,
     _Compiled,
-    _descent_successors,
+    _joint_moves,
 )
+
+ALL_MODELS = [ConflictModel(*flags) for flags in itertools.product((False, True), repeat=4)]
 
 
 def inst4(tasks, obstacles=(), dirs=FOUR_DIRECTIONS, teams=None):
@@ -90,20 +97,15 @@ def enumerate_memoized(instance, model=VERTEX_EDGE):
     the result equals plain enumeration, solution for solution.
     """
     comp = _Compiled(instance)
-    n = len(comp.starts)
     if comp.lower_bound is None:
         return []
 
     @functools.lru_cache(maxsize=None)
     def suffixes(cur):
-        movers = [i for i in range(n) if cur[i] != comp.goals[i]]
-        if not movers:
+        if cur == comp.goals:
             return ((cur,),)
-        static_cells = frozenset(cur[i] for i in range(n) if cur[i] == comp.goals[i])
         return tuple(
-            (cur,) + tail
-            for nxt in _descent_successors(cur, movers, comp, static_cells, model)
-            for tail in suffixes(nxt)
+            (cur,) + tail for nxt in comp.descent_moves(cur, model) for tail in suffixes(nxt)
         )
 
     return [comp.solution_from_states(states) for states in suffixes(comp.starts)]
@@ -472,3 +474,232 @@ def DirectionSetRight():
     from gridmapf.core import DirectionSet
 
     return DirectionSet.from_letters("R")
+
+
+def reference_joint_moves(cur, active, choices, static_cells, model):
+    """``itertools.product`` of the choices, filtered by the conflict definitions.
+
+    Vertex: two agents, one of them active, share a cell afterwards, or an
+    active agent enters a static cell.  Edge: two movers trade cells.
+    Following: a mover enters the cell another mover leaves.  Cycle: movers
+    rotate, each into the cell of the next; a cell held by several agents
+    stands for the last of them, as in ``validate_solution``.
+    """
+    n = len(cur)
+    out = []
+    for combo in itertools.product(*choices):
+        nxt = list(cur)
+        for i, c in zip(active, combo):
+            nxt[i] = c
+        movers = [i for i in range(n) if nxt[i] != cur[i]]
+        if model.forbid_vertex and any(
+            nxt[i] in static_cells
+            or any(j != i and nxt[j] == nxt[i] for j in range(n))
+            for i in active
+        ):
+            continue
+        if model.forbid_edge and any(
+            nxt[i] == cur[j] and nxt[j] == cur[i] for i in movers for j in movers
+        ):
+            continue
+        if model.forbid_following and any(
+            j != i and nxt[i] == cur[j] for i in movers for j in movers
+        ):
+            continue
+        if model.forbid_cycle:
+            holder = {c: i for i, c in enumerate(cur)}
+
+            def ahead(i):
+                j = holder.get(nxt[i])
+                return j if j is not None and j in movers else None
+
+            rotating = False
+            for start in movers:
+                j = ahead(start)
+                for _ in range(n):
+                    if j is None or j == start:
+                        break
+                    j = ahead(j)
+                rotating = rotating or j == start
+            if rotating:
+                continue
+        out.append(tuple(nxt))
+    return out
+
+
+@st.composite
+def joint_move_inputs(draw):
+    """Positions on six cells, so duplicates and collisions are common."""
+    n = draw(st.integers(1, 4))
+    cur = tuple(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+    active = sorted(draw(st.sets(st.integers(0, n - 1))))
+    choices = [
+        draw(st.lists(st.integers(0, 5), min_size=0, max_size=4, unique=True)) for _ in active
+    ]
+    static_cells = {cur[i] for i in range(n) if i not in active}
+    return cur, active, choices, static_cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(joint_move_inputs())
+def test_joint_moves_match_filtered_product(inputs):
+    cur, active, choices, static_cells = inputs
+    for model in ALL_MODELS:
+        assert list(_joint_moves(cur, active, choices, static_cells, model)) == (
+            reference_joint_moves(cur, active, choices, static_cells, model)
+        )
+
+
+def test_joint_moves_cases():
+    # a swap, a chase and a three-cycle of agents 0..2, with agent 3 static;
+    # a swap is also a two-agent rotation, and movers in a rotation follow
+    cur = (0, 1, 2, 3)
+    cases = (
+        ([[1], [0], [2]], lambda m: m.forbid_edge or m.forbid_following or m.forbid_cycle),
+        ([[1], [2], [4]], lambda m: m.forbid_following),
+        ([[1], [2], [0]], lambda m: m.forbid_following or m.forbid_cycle),
+    )
+    for choices, blocked in cases:
+        for model in ALL_MODELS:
+            moves = list(_joint_moves(cur, [0, 1, 2], choices, {3}, model))
+            assert moves == ([] if blocked(model) else [tuple(c[0] for c in choices) + (3,)])
+    # entering a static cell is a vertex conflict
+    assert list(_joint_moves(cur, [0], [[3, 0]], {1, 2, 3}, VERTEX_EDGE)) == [(0, 1, 2, 3)]
+
+
+def no_wait_walks(grid, start, goal, dirs, max_len):
+    """Every walk of at most ``max_len`` moves from ``start`` ending at ``goal``."""
+    out = []
+
+    def rec(cells):
+        if cells[-1] == goal:
+            out.append(tuple(cells))
+        if len(cells) > max_len:
+            return
+        for d in dirs.ordered():
+            nxt = d.apply(cells[-1])
+            if grid.is_free(nxt):
+                rec(cells + [nxt])
+
+    rec([start])
+    return out
+
+
+def corridor(letters, tasks):
+    """A 4x1 corridor without waits."""
+    return Instance(
+        GridMap(4, 1),
+        tuple(AgentTask(i, Cell(*s), Cell(*g)) for i, (s, g) in enumerate(tasks)),
+        DirectionSet.from_letters(letters, waits_allowed=False),
+    )
+
+
+class TestNoWaits:
+    """Without waits an agent may stay put only on its goal, for good."""
+
+    MODEL = ConflictModel(forbid_edge=False)
+
+    def brute_force(self, inst, max_len, fits):
+        """Valid solutions among products of per-agent walks that ``fits``."""
+        walks = [
+            no_wait_walks(inst.grid, a.start, a.goal, inst.directions, max_len)
+            for a in inst.agents
+        ]
+        found = []
+        for combo in itertools.product(*walks):
+            if fits(combo):
+                sol = Solution(tuple(TimedPath(cells) for cells in combo))
+                if validate_solution(inst, sol, self.MODEL).ok:
+                    found.append(sol)
+        return found
+
+    def test_makespan_does_not_leave_a_parked_goal(self):
+        inst = corridor("UDLR", [((1, 0), (1, 0)), ((0, 0), (3, 0)), ((3, 0), (0, 0))])
+        assert self.brute_force(inst, 5, lambda combo: True) == []
+        assert not exists_makespan_at_most(inst, 5, self.MODEL).decision
+
+    def test_flowtime_does_not_wait_off_the_finish(self):
+        inst = corridor("LR", [((1, 0), (3, 0)), ((2, 0), (1, 0)), ((3, 0), (2, 0))])
+        # the other two agents need at least one move each
+        fits = lambda combo: sum(len(w) - 1 for w in combo) <= 11
+        assert self.brute_force(inst, 9, fits) == []
+        with pytest.raises(NoSolutionError):
+            optimal_flowtime(inst, self.MODEL)
+
+    def test_parking_on_the_goal_is_allowed(self):
+        # agent 0 sits on its goal while agent 1 walks past the other side
+        inst = corridor("LR", [((0, 0), (0, 0)), ((1, 0), (3, 0))])
+        w = exists_makespan_at_most(inst, 2, self.MODEL)
+        assert w.decision
+        assert validate_solution(inst, w.solution, self.MODEL).ok
+        cost, sol = optimal_flowtime(inst, self.MODEL)
+        assert cost == 2
+        assert validate_solution(inst, sol, self.MODEL).ok
+
+
+PROPERTY_BUDGET = SearchBudget(max_states=3000)
+
+
+@st.composite
+def small_instances(draw):
+    """Grids up to 4x4, at most three agents, any direction set, waits or not."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = [Cell(c, r) for r in range(height) for c in range(width)]
+    obstacles = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1))
+    free = [c for c in cells if c not in obstacles]
+    k = draw(st.integers(1, min(3, len(free))))
+    starts = draw(st.permutations(free))[:k]
+    goals = draw(st.permutations(free))[:k]
+    letters = "".join(sorted(draw(st.sets(st.sampled_from("UDLR")))))
+    return Instance(
+        GridMap(width, height, frozenset(obstacles)),
+        tuple(AgentTask(i, s, g) for i, (s, g) in enumerate(zip(starts, goals))),
+        DirectionSet.from_letters(letters, waits_allowed=draw(st.booleans())),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_instances(), st.integers(0, 3))
+def test_oracles_consistent_across_models(inst, slack):
+    lb = lower_bound_cost(inst)
+    fields = [shortest_dist_field(inst.grid, a.goal, inst.directions) for a in inst.agents]
+    bound = slack + max(f.get(a.start, 0) for f, a in zip(fields, inst.agents))
+    indopt, within, cost = {}, {}, {}
+    try:
+        for m in ALL_MODELS:
+            w = exists_individually_optimal(inst, m, PROPERTY_BUDGET)
+            if w.decision:
+                assert validate_solution(inst, w.solution, m).ok
+                assert w.solution.flowtime() == lb
+            indopt[m] = w.decision
+            within[m] = []
+            for b in (bound, bound + 1):
+                w = exists_makespan_at_most(inst, b, m, PROPERTY_BUDGET)
+                if w.decision:
+                    assert validate_solution(inst, w.solution, m).ok
+                    assert w.solution.makespan() <= b
+                within[m].append(w.decision)
+            try:
+                cost[m], sol = optimal_flowtime(inst, m, PROPERTY_BUDGET)
+            except NoSolutionError:
+                cost[m] = None
+                with pytest.raises(NoSolutionError):
+                    delta(inst, m, PROPERTY_BUDGET)
+            else:
+                assert validate_solution(inst, sol, m).ok
+                assert sol.flowtime() == cost[m] >= lb
+                assert (delta(inst, m, PROPERTY_BUDGET) == 0) == indopt[m]
+    except BudgetExceededError:
+        reject()
+    for m in ALL_MODELS:
+        assert within[m][0] <= within[m][1]
+        assert indopt[m] <= within[m][0]
+        assert indopt[m] <= (cost[m] is not None)
+        for stricter in ALL_MODELS:
+            if m.forbids_subset_of(stricter):
+                assert indopt[stricter] <= indopt[m]
+                assert within[stricter] <= within[m] or all(
+                    a <= b for a, b in zip(within[stricter], within[m])
+                )
+                if cost[stricter] is not None:
+                    assert cost[m] is not None and cost[m] <= cost[stricter]

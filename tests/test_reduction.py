@@ -15,7 +15,6 @@ from gridmapf.oracle import exists_individually_optimal
 from gridmapf.reduction import (
     LayoutError,
     compile_formula,
-    compute_l,
     compute_w,
     extract_assignment,
     makespan_variant,
@@ -23,6 +22,25 @@ from gridmapf.reduction import (
     two_colored_variant,
     verify_construction,
 )
+
+
+def compute_l(instance, meta):
+    """Largest channel-entry distance over agents and their usable channels.
+
+    One reverse BFS over cells per (agent, variable), under the sign's two
+    directions; the compiled layout sets the channel length to this value.
+    """
+    starts = {a.id: a.start for a in instance.agents}
+    longest = 0
+    for c in meta.formula.clauses:
+        dirs = meta.sign_directions(c.side)
+        for v in c.vars:
+            channel = meta.channel_by_var(v)
+            if channel is None:
+                continue
+            field = shortest_dist_field(instance.grid, meta.entry_cell(c.side, channel), dirs)
+            longest = max(longest, field.get(starts[c.id], 0))
+    return longest
 
 
 class TestCompileBasics:
