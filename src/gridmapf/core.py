@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 
 class Cell(NamedTuple):
@@ -58,12 +58,6 @@ MOTION_DIRECTIONS: tuple[Direction, ...] = (
 )
 
 _LETTER_TO_DIRECTION = {d.letter: d for d in Direction}
-_STEP_TO_DIRECTION = {d.value: d for d in Direction}
-
-
-def direction_between(a: Cell, b: Cell) -> Optional[Direction]:
-    """The single action leading from ``a`` to ``b``, or None if not one step."""
-    return _STEP_TO_DIRECTION.get((b.col - a.col, b.row - a.row))
 
 
 @dataclass(frozen=True)
@@ -482,6 +476,64 @@ def _team_assignment_ok(instance: Instance, solution: Solution) -> Optional[str]
     return None
 
 
+def _rotations(prev: Sequence[Hashable], here: Sequence[Hashable]) -> list[tuple]:
+    """The agents that rotate in the step from cells ``prev`` to cells ``here``.
+
+    A rotation is a directed cycle of the movers' cell graph, which has one
+    edge ``prev[i] -> here[i]`` per mover, so a cell that several agents
+    leave stands for each of them.  One (members, cells) entry per strongly
+    connected component with a cycle, by lowest member: its movers on cycles
+    ascending, and its cells in depth-first preorder from the cell its lowest
+    member leaves, taking each cell's movers in index order.  With distinct
+    ``prev`` cells this walks a simple cycle in the direction of motion.
+    """
+    leaving: dict[Hashable, list[int]] = {}  # cell -> movers leaving it, ascending
+    for i, cell in enumerate(prev):
+        if here[i] != cell:
+            leaving.setdefault(cell, []).append(i)
+    # The cells of a cycle, at least two, are each entered and left by movers.
+    inner = {here[i] for movers in leaving.values() for i in movers if here[i] in leaving}
+    if len(inner) < 2:
+        return []
+    # Tarjan's algorithm over those cells, in linear time.  A cell's number
+    # is its place on the stack of open cells, and ``low`` the least number
+    # of an open cell it reaches; closed cells get len(prev).
+    num: dict[Hashable, int] = {}
+    low: dict[Hashable, int] = {}
+    opened, groups = [], []
+    for root in inner:
+        path = [] if root in num else [(root, iter(leaving[root]))]
+        while path:
+            cell, movers = path[-1]
+            if cell not in num:
+                num[cell] = low[cell] = len(opened)
+                opened.append(cell)
+            for i in movers:
+                if here[i] in inner and here[i] not in num:
+                    path.append((here[i], iter(leaving[here[i]])))
+                    break
+                low[cell] = min(low[cell], low.get(here[i], low[cell]))
+            else:
+                path.pop()
+                if path:
+                    low[path[-1][0]] = min(low[path[-1][0]], low[cell])
+                if low[cell] == num[cell]:
+                    part = set(opened[num[cell] :])
+                    del opened[num[cell] :]
+                    low.update(dict.fromkeys(part, len(prev)))
+                    groups.append(sorted(i for c in part for i in leaving[c] if here[i] in part))
+    out = []
+    for members in sorted(filter(None, groups)):  # components with a cycle
+        inside, cells, todo = set(members), {}, [prev[members[0]]]
+        while todo:
+            cell = todo.pop()
+            if cell not in cells:
+                cells[cell] = None
+                todo.extend(here[i] for i in reversed(leaving[cell]) if i in inside)
+        out.append((tuple(members), tuple(cells)))
+    return out
+
+
 def validate_solution(
     instance: Instance,
     solution: Solution,
@@ -566,29 +618,8 @@ def validate_solution(
                 for j in leaving.get(here[i], ()):
                     conflicts.append(Conflict(t, "following", (ids[i], ids[j]), (here[i],)))
         if model.forbid_cycle:
-            at_prev = {prev[i]: i for i in range(n)}
-            in_cycle: set[int] = set()
-            for start_i in moved:
-                if start_i in in_cycle:
-                    continue
-                chain = [start_i]
-                cur = start_i
-                while True:
-                    nxt = at_prev.get(here[cur])
-                    if nxt is None or here[nxt] == prev[nxt]:
-                        break
-                    if nxt == start_i:
-                        if len(chain) >= 2:
-                            members = tuple(sorted(ids[k] for k in chain))
-                            conflicts.append(
-                                Conflict(t, "cycle", members, tuple(prev[k] for k in chain))
-                            )
-                            in_cycle.update(chain)
-                        break
-                    if nxt in chain:
-                        break
-                    chain.append(nxt)
-                    cur = nxt
+            for members, ring in _rotations(prev, here):
+                conflicts.append(Conflict(t, "cycle", tuple(sorted(ids[k] for k in members)), ring))
     return ConflictReport(tuple(conflicts))
 
 

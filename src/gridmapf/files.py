@@ -78,6 +78,8 @@ def read_map(text: str) -> GridMap:
 
 def write_agents(instance: Instance) -> str:
     lines = [f"directions {instance.directions.letters}"]
+    if not instance.directions.waits_allowed:
+        lines.append("waits no")
     for a in instance.agents:
         team = f" {a.team}" if a.team is not None else ""
         lines.append(
@@ -88,6 +90,7 @@ def write_agents(instance: Instance) -> str:
 
 def read_agents(text: str, grid: GridMap) -> Instance:
     directions: Optional[DirectionSet] = None
+    waits = True
     agents: list[AgentTask] = []
     ids: set[int] = set()
     starts: dict[Cell, int] = {}  # cell -> id of the agent that starts there
@@ -104,6 +107,10 @@ def read_agents(text: str, grid: GridMap) -> Instance:
                 directions = DirectionSet.from_letters(parts[1])
             except ValueError as e:
                 raise FileFormatError(str(e), lineno) from None
+        elif parts[0] == "waits":
+            if parts[1:] != ["no"]:
+                raise FileFormatError("expected: waits no", lineno)
+            waits = False
         elif parts[0] == "agent":
             if len(parts) not in (6, 7):
                 raise FileFormatError(
@@ -140,7 +147,7 @@ def read_agents(text: str, grid: GridMap) -> Instance:
         for a in agents:
             teams.setdefault(a.team, set()).add(a.goal)
         teams = {t: frozenset(cells) for t, cells in teams.items()}
-    return Instance(grid, tuple(agents), directions, teams=teams)
+    return Instance(grid, tuple(agents), DirectionSet(directions.moves, waits), teams=teams)
 
 
 # Solution files spell each step as its action's letter (W for a wait).

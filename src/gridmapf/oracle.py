@@ -23,6 +23,7 @@ from .core import (
     TimedPath,
     VERTEX_EDGE,
     _GridKernel,
+    _rotations,
     lower_bound_cost,
 )
 
@@ -135,7 +136,8 @@ def _joint_moves(
     agent stays put.  Vertex conflicts, against ``static_cells`` and the
     earlier choices, are pruned per assignment, and so are edge and
     following conflicts, by one pass over the earlier movers.  Cycle
-    conflicts are checked on the complete move.
+    conflicts are checked on the complete move by ``core._rotations``, the
+    rule ``validate_solution`` reports, which no agent numbering changes.
     """
     nxt = list(cur)
     last = len(active)
@@ -147,7 +149,7 @@ def _joint_moves(
     def rec(k: int) -> Iterator[tuple[int, ...]]:
         if k == last:
             move = tuple(nxt)
-            if not (model.forbid_cycle and _has_rotation(cur, move)):
+            if not (model.forbid_cycle and _rotations(cur, move)):
                 yield move
             return
         i = active[k]
@@ -179,29 +181,6 @@ def _joint_moves(
             chosen.discard(c)
 
     return rec(0)
-
-
-def _has_rotation(cur: tuple[int, ...], nxt: tuple[int, ...]) -> bool:
-    """Detect movers rotating round a cycle, each into the cell the next leaves.
-
-    A cell held by several agents stands for the last of them, as in
-    ``validate_solution``.
-    """
-    at_cur = {c: i for i, c in enumerate(cur)}
-    for start in range(len(cur)):
-        if nxt[start] == cur[start]:
-            continue
-        i = start
-        seen = set()
-        while True:
-            j = at_cur.get(nxt[i])
-            if j is None or nxt[j] == cur[j] or j in seen:
-                break
-            if j == start:
-                return True
-            seen.add(j)
-            i = j
-    return False
 
 
 def _trail(parent: dict, key: object) -> list:

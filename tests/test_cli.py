@@ -115,6 +115,20 @@ class TestSolveAndOracle:
             == 0
         )
 
+    def test_oracle_reaches_the_no_wait_search(self, workdir, capsys):
+        # The corridor of test_oracle's TestNoWaits: a makespan-5 plan needs
+        # a wait, so the answer depends on the "waits no" line reaching the
+        # no-wait search.
+        (workdir / "corridor.map").write_text("height 1\nwidth 4\nmap\n....\n")
+        agents = "directions UDLR\nagent 0 1 0 1 0\nagent 1 0 0 3 0\nagent 2 3 0 0 0\n"
+        (workdir / "waits.agents").write_text(agents)
+        (workdir / "nowait.agents").write_text(agents.replace("UDLR\n", "UDLR\nwaits no\n"))
+        args = ("--mode", "makespan-le", "--bound", "5", "--conflicts", "vertex")
+        assert run("oracle", workdir / "corridor.map", workdir / "waits.agents", *args) == 0
+        capsys.readouterr()
+        assert run("oracle", workdir / "corridor.map", workdir / "nowait.agents", *args) == 1
+        assert capsys.readouterr().out.strip() == "NO"
+
     def test_delta_prints_value(self, workdir, capsys):
         assert run("delta", workdir / "dr.map", workdir / "no.agents") == 0
         assert capsys.readouterr().out.strip() == "1"

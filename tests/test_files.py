@@ -6,6 +6,7 @@ from gridmapf.core import (
     AgentTask,
     Cell,
     DOWN_RIGHT,
+    DirectionSet,
     FOUR_DIRECTIONS,
     GridMap,
     Instance,
@@ -130,6 +131,31 @@ class TestAgentsFormat:
         back = read_agents(write_agents(inst), grid)
         assert back.teams == inst.teams
         assert back.agents == inst.agents
+
+    def test_no_wait_roundtrip(self):
+        grid = GridMap(4, 1)
+        inst = Instance(
+            grid,
+            (AgentTask(0, Cell(0, 0), Cell(3, 0)), AgentTask(1, Cell(3, 0), Cell(0, 0))),
+            DirectionSet.from_letters("LR", waits_allowed=False),
+        )
+        text = write_agents(inst)
+        assert text.splitlines()[:2] == ["directions LR", "waits no"]
+        back = read_agents(text, grid)
+        assert back.directions == inst.directions
+        assert write_agents(back) == text
+
+    def test_waits_allowed_without_the_line(self):
+        text = "directions LR\nagent 0 0 0 3 0\n"
+        inst = read_agents(text, GridMap(4, 1))
+        assert inst.directions.waits_allowed
+        assert write_agents(inst) == text
+
+    @pytest.mark.parametrize("line", ["waits", "waits yes", "waits no no", "waits No"])
+    def test_bad_waits_line_carries_line(self, line):
+        with pytest.raises(FileFormatError, match="expected: waits no") as e:
+            read_agents(f"directions LR\n{line}\nagent 0 0 0 3 0\n", GridMap(4, 1))
+        assert e.value.line == 2
 
     def test_out_of_bounds_cell(self):
         grid = GridMap(2, 2)

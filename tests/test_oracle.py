@@ -40,6 +40,7 @@ from gridmapf.oracle import (
     _Compiled,
     _joint_moves,
 )
+from rotation_reference import rotating_movers
 
 ALL_MODELS = [ConflictModel(*flags) for flags in itertools.product((False, True), repeat=4)]
 
@@ -455,6 +456,20 @@ class TestFeasibleCostBounds:
 
 
 class TestStrictModel:
+    def test_rotation_through_a_shared_cell_under_every_ordering(self):
+        # Each agent has one shortest path.  At t=1 the first and third agents
+        # share (1,0); at t=2 the third swaps (1,0) <-> (2,0) with the second
+        # while the first also leaves (1,0): a rotation, however numbered.
+        tasks = [((2, 0), (0, 0)), ((3, 0), (1, 0)), ((0, 0), (3, 0))]
+        model = ConflictModel(False, False, False, True)
+        for order in itertools.permutations(tasks):
+            inst = Instance(
+                GridMap(4, 1),
+                tuple(AgentTask(i, Cell(*s), Cell(*g)) for i, (s, g) in enumerate(order)),
+                FOUR_DIRECTIONS,
+            )
+            assert not exists_individually_optimal(inst, model).decision
+
     def test_following_blocks_tail_chase(self):
         # two agents marching in single file down one corridor
         grid = GridMap(4, 1)
@@ -481,9 +496,9 @@ def reference_joint_moves(cur, active, choices, static_cells, model):
 
     Vertex: two agents, one of them active, share a cell afterwards, or an
     active agent enters a static cell.  Edge: two movers trade cells.
-    Following: a mover enters the cell another mover leaves.  Cycle: movers
-    rotate, each into the cell of the next; a cell held by several agents
-    stands for the last of them, as in ``validate_solution``.
+    Following: a mover enters the cell another mover leaves.  Cycle: some
+    movers rotate, each entering the cell the next one leaves, as found by
+    the brute force of ``rotation_reference``.
     """
     n = len(cur)
     out = []
@@ -506,23 +521,8 @@ def reference_joint_moves(cur, active, choices, static_cells, model):
             j != i and nxt[i] == cur[j] for i in movers for j in movers
         ):
             continue
-        if model.forbid_cycle:
-            holder = {c: i for i, c in enumerate(cur)}
-
-            def ahead(i):
-                j = holder.get(nxt[i])
-                return j if j is not None and j in movers else None
-
-            rotating = False
-            for start in movers:
-                j = ahead(start)
-                for _ in range(n):
-                    if j is None or j == start:
-                        break
-                    j = ahead(j)
-                rotating = rotating or j == start
-            if rotating:
-                continue
+        if model.forbid_cycle and rotating_movers(cur, nxt):
+            continue
         out.append(tuple(nxt))
     return out
 

@@ -3,15 +3,19 @@
 The reference is the validator as first written: it compares every pair of
 agents at every step, O(T * N^2), and classifies single-agent steps through
 the ``Direction`` Enum.  The library's validator must return the same
-ordered conflict tuple, or raise the same ``ValueError``, on every input.
+ordered tuple of the other conflicts, or raise the same ``ValueError``, on
+every input.  Cycle conflicts are checked against the brute force of
+``rotation_reference``: at each step, the union of their members must be
+the agents in some rotating subset of the movers.
 """
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridmapf.core import (
+    FOUR_DIRECTIONS,
     MOTION_DIRECTIONS,
     AgentTask,
     Cell,
@@ -27,6 +31,7 @@ from gridmapf.core import (
     _team_assignment_ok,
     validate_solution,
 )
+from rotation_reference import rotating_movers
 
 ALL_MODELS = [ConflictModel(*flags) for flags in itertools.product((False, True), repeat=4)]
 
@@ -40,7 +45,7 @@ def reference_direction_between(a, b):
 
 
 def reference_validate(instance, solution, model):
-    """The pairwise O(T * N^2) validator."""
+    """The pairwise O(T * N^2) validator, without cycle conflicts."""
     if len(solution.paths) != instance.num_agents:
         raise ValueError(
             f"solution has {len(solution.paths)} paths for {instance.num_agents} agents"
@@ -102,30 +107,6 @@ def reference_validate(instance, solution, model):
                 for j in range(n):
                     if j != i and here[i] == prev[j] and here[j] != prev[j]:
                         conflicts.append(Conflict(t, "following", (ids[i], ids[j]), (here[i],)))
-        if model.forbid_cycle:
-            at_prev = {prev[i]: i for i in range(n)}
-            in_cycle = set()
-            for start_i in range(n):
-                if start_i in in_cycle or here[start_i] == prev[start_i]:
-                    continue
-                chain = [start_i]
-                cur = start_i
-                while True:
-                    nxt = at_prev.get(here[cur])
-                    if nxt is None or here[nxt] == prev[nxt]:
-                        break
-                    if nxt == start_i:
-                        if len(chain) >= 2:
-                            members = tuple(sorted(ids[k] for k in chain))
-                            conflicts.append(
-                                Conflict(t, "cycle", members, tuple(prev[k] for k in chain))
-                            )
-                            in_cycle.update(chain)
-                        break
-                    if nxt in chain:
-                        break
-                    chain.append(nxt)
-                    cur = nxt
     return ConflictReport(tuple(conflicts))
 
 
@@ -135,8 +116,10 @@ STEPS = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (1, 1), (0, -2)]
 
 
 @st.composite
-def validation_cases(draw):
-    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+def validation_cases(draw, max_side=6):
+    """An instance and a solution that may break every rule; on grids with
+    ``max_side`` 2, agents crowd into shared cells and rotate through them."""
+    width, height = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
     cells = [Cell(c, r) for r in range(height) for c in range(width)]
     obstacles = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1))
     free = [c for c in cells if c not in obstacles]
@@ -190,11 +173,62 @@ def outcome(validate, instance, solution, model):
         return ("ValueError", str(e))
 
 
+# Agents 0 and 1 both enter (1,0) at t=1; at t=2 agent 0 and agent 2, which
+# waited, swap (1,0) <-> (1,1) while agent 1 stays on (1,0).
+SHARED_CELL_WALKS = ([(0, 0), (1, 0), (1, 1)], [(2, 0), (1, 0)], [(1, 1), (1, 1), (1, 0), (0, 0)])
+
+
+def shared_cell_case(order=(0, 1, 2)):
+    """SHARED_CELL_WALKS on a 3x2 grid, agent ``i`` taking walk ``order[i]``."""
+    walks = [[Cell(*c) for c in SHARED_CELL_WALKS[k]] for k in order]
+    instance = Instance(
+        GridMap(3, 2),
+        tuple(AgentTask(i, w[0], w[-1]) for i, w in enumerate(walks)),
+        FOUR_DIRECTIONS,
+    )
+    return instance, Solution(tuple(TimedPath(tuple(w)) for w in walks))
+
+
+def rotating_ids_by_step(instance, solution):
+    """Step -> ids of the agents in some rotating subset of that step's movers."""
+    ids = [a.id for a in instance.agents]
+    horizon = max(len(p.cells) for p in solution.paths)
+    out = {}
+    for t in range(1, horizon):
+        members = rotating_movers(
+            [p.at(t - 1) for p in solution.paths], [p.at(t) for p in solution.paths]
+        )
+        if members:
+            out[t] = {ids[i] for i in members}
+    return out
+
+
 @settings(max_examples=400, deadline=None)
-@given(validation_cases())
+@given(st.one_of(validation_cases(), validation_cases(max_side=2)))
+@example(shared_cell_case())
 def test_validator_matches_pairwise_reference(case):
     instance, solution = case
+    rotating = rotating_ids_by_step(instance, solution)
+    path_of = {a.id: p for a, p in zip(instance.agents, solution.paths)}
     for model in ALL_MODELS:
         expected = outcome(reference_validate, instance, solution, model)
-        assert outcome(validate_solution, instance, solution, model) == expected
+        got = outcome(validate_solution, instance, solution, model)
+        if not isinstance(expected, ConflictReport):
+            assert got == expected
+            continue
+        assert tuple(c for c in got.conflicts if c.kind != "cycle") == expected.conflicts
+        by_step = {}
+        for c in got.conflicts:
+            if c.kind == "cycle":
+                assert not by_step.get(c.time, set()) & set(c.agents)  # one entry per agent
+                by_step.setdefault(c.time, set()).update(c.agents)
+                # a rotation's cells are the cells its members leave
+                assert set(c.cells) == {path_of[aid].at(c.time - 1) for aid in c.agents}
+        assert by_step == (rotating if model.forbid_cycle else {})
 
+
+def test_cycle_through_a_shared_cell_under_both_numberings():
+    model = ConflictModel(False, False, False, True)
+    for order in ((0, 1, 2), (1, 0, 2)):
+        instance, solution = shared_cell_case(order)
+        assert validate_solution(instance, solution, model).kinds() == {"cycle"}
