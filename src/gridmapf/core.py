@@ -493,6 +493,23 @@ def _rotations(prev: Sequence[Hashable], here: Sequence[Hashable]) -> list[tuple
             leaving.setdefault(cell, []).append(i)
     # The cells of a cycle, at least two, are each entered and left by movers.
     inner = {here[i] for movers in leaving.values() for i in movers if here[i] in leaving}
+    # A cell that no inner cell enters is on no cycle.  Peel such cells in
+    # one linear pass, Kahn-style, counting each cell's entering edges within
+    # ``inner``: nothing is left of a chain of movers in a line.
+    ins = dict.fromkeys(inner, 0)
+    for c in inner:
+        for i in leaving[c]:
+            if here[i] in ins:
+                ins[here[i]] += 1
+    todo = [c for c, n in ins.items() if not n]
+    while todo:
+        cell = todo.pop()
+        inner.discard(cell)
+        for i in leaving[cell]:
+            if here[i] in inner:
+                ins[here[i]] -= 1
+                if not ins[here[i]]:
+                    todo.append(here[i])
     if len(inner) < 2:
         return []
     # Tarjan's algorithm over those cells, in linear time.  A cell's number

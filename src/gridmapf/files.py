@@ -95,11 +95,18 @@ def read_agents(text: str, grid: GridMap) -> Instance:
     ids: set[int] = set()
     starts: dict[Cell, int] = {}  # cell -> id of the agent that starts there
     goals: dict[Cell, int] = {}
+    headers: dict[str, int] = {}  # header directive -> its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
+        if parts[0] in ("directions", "waits"):
+            if parts[0] in headers:
+                raise FileFormatError(
+                    f"second {parts[0]} line; the first is line {headers[parts[0]]}", lineno
+                )
+            headers[parts[0]] = lineno
         if parts[0] == "directions":
             if len(parts) != 2:
                 raise FileFormatError("expected: directions <letters>", lineno)

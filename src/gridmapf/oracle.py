@@ -13,7 +13,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Container, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterator, Optional, Sequence
 
 from .core import (
     Cell,
@@ -115,12 +115,12 @@ class _Compiled:
             choices.append(tuple(c for c in self.nbr[here] if dist[c] == want))
         return _joint_moves(cur, active, choices, static_cells, model)
 
-    def solution_from_states(self, states: Sequence[tuple[int, ...]]) -> Solution:
-        paths = []
-        for i in range(len(self.starts)):
-            cells = [self.cell(s[i]) for s in states]
-            paths.append(TimedPath.from_cells(cells))
-        return Solution(tuple(paths))
+
+def _solution_from_states(
+    cell: Callable[[int], Cell], states: Sequence[tuple[int, ...]]
+) -> Solution:
+    """The solution whose agents take the cell ids of ``states`` in turn."""
+    return Solution(tuple(TimedPath.from_cells([cell(c) for c in ids]) for ids in zip(*states)))
 
 
 def _joint_moves(
@@ -204,16 +204,15 @@ def exists_individually_optimal(
     fully determine elapsed time under strict descent, so states are
     deduplicated on positions alone.
     """
-    return _individually_optimal(_Compiled(instance), model, budget)
+    return _individually_optimal(_Compiled(instance), model, _BudgetClock(budget))
 
 
-def _individually_optimal(comp: _Compiled, model: ConflictModel, budget: SearchBudget) -> Witness:
+def _individually_optimal(comp: _Compiled, model: ConflictModel, clock: _BudgetClock) -> Witness:
     if comp.lower_bound is None:
         return Witness(False, None)
     if not comp.starts:
         return Witness(True, Solution(()))
 
-    clock = _BudgetClock(budget)
     start = comp.starts
     parent: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {start: None}
     stack = [start]
@@ -221,7 +220,7 @@ def _individually_optimal(comp: _Compiled, model: ConflictModel, budget: SearchB
         cur = stack.pop()
         clock.tick()
         if cur == comp.goals:
-            return Witness(True, comp.solution_from_states(_trail(parent, cur)))
+            return Witness(True, _solution_from_states(comp.cell, _trail(parent, cur)))
         for nxt in comp.descent_moves(cur, model):
             if nxt not in parent:
                 parent[nxt] = cur
@@ -255,7 +254,7 @@ def enumerate_individually_optimal(
         clock.tick()
         cur = trail[-1]
         if cur == comp.goals:
-            out.append(comp.solution_from_states(trail))
+            out.append(_solution_from_states(comp.cell, trail))
             return limit is not None and len(out) >= limit
         for nxt in comp.descent_moves(cur, model):
             trail.append(nxt)
@@ -283,11 +282,11 @@ def exists_makespan_at_most(
     may stay put only on its goal, and then stays there for good: it is
     parked, a static obstacle recorded in the state.
     """
-    return _makespan_at_most(_Compiled(instance), bound, model, budget)
+    return _makespan_at_most(_Compiled(instance), bound, model, _BudgetClock(budget))
 
 
 def _makespan_at_most(
-    comp: _Compiled, bound: int, model: ConflictModel, budget: SearchBudget
+    comp: _Compiled, bound: int, model: ConflictModel, clock: _BudgetClock
 ) -> Witness:
     n = len(comp.starts)
     if n == 0:
@@ -297,7 +296,6 @@ def _makespan_at_most(
         if d < 0 or d > bound:
             return Witness(False, None)
 
-    clock = _BudgetClock(budget)
     goals = comp.goals
     nbr = comp.nbr
     dist = comp.dist
@@ -313,7 +311,8 @@ def _makespan_at_most(
         cur, t, parked = key
         clock.tick()
         if cur == goals:
-            return Witness(True, comp.solution_from_states([k[0] for k in _trail(parent, key)]))
+            states = [k[0] for k in _trail(parent, key)]
+            return Witness(True, _solution_from_states(comp.cell, states))
         if t == bound:
             continue
         remaining = bound - t - 1
@@ -362,11 +361,11 @@ def optimal_flowtime(
     unfinished agents' goal distances.  Raises ``NoSolutionError`` when the
     instance has no feasible solution.
     """
-    return _optimal_flowtime(_Compiled(instance), model, budget)
+    return _optimal_flowtime(_Compiled(instance), model, _BudgetClock(budget))
 
 
 def _optimal_flowtime(
-    comp: _Compiled, model: ConflictModel, budget: SearchBudget
+    comp: _Compiled, model: ConflictModel, clock: _BudgetClock
 ) -> tuple[int, Solution]:
     n = len(comp.starts)
     if n == 0:
@@ -375,7 +374,6 @@ def _optimal_flowtime(
         if comp.dist[i][comp.starts[i]] < 0:
             raise NoSolutionError(f"agent {comp.instance.agents[i].id} cannot reach its goal")
 
-    clock = _BudgetClock(budget)
     goals = comp.goals
     nbr = comp.nbr
     dist = comp.dist
@@ -425,7 +423,7 @@ def _optimal_flowtime(
                 link = parent[state]
             states.append(state[0])
             states.reverse()
-            return g, comp.solution_from_states(states)
+            return g, _solution_from_states(comp.cell, states)
         for nxt_state, cost, was_move in successors(state):
             ng = g + cost
             if ng < best.get(nxt_state, ng + 1):
@@ -444,7 +442,7 @@ def delta(
 ) -> int:
     """Optimal flowtime minus the sum of individually optimal path lengths."""
     comp = _Compiled(instance)
-    cost, _ = _optimal_flowtime(comp, model, budget)  # raises if a goal is out of reach
+    cost, _ = _optimal_flowtime(comp, model, _BudgetClock(budget))  # raises if a goal is out of reach
     return cost - comp.lower_bound
 
 
@@ -483,34 +481,43 @@ def two_colored_decide(
     model: ConflictModel = VERTEX_EDGE,
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> Witness:
-    """Decide a colored instance by enumerating within-team target bijections.
+    """Decide whether a colored instance has a solution meeting ``bound`` in
+    which each team's agents end on a bijection onto its targets.
 
-    ``objective`` is ``"flowtime"`` or ``"makespan"``; the decision is true
-    iff some assignment admits a solution meeting ``bound``.
+    ``objective`` is ``"flowtime"`` or ``"makespan"``; one budget covers the
+    whole call.  Flowtime below the assignment-minimal lower bound is NO and
+    at it is one joint search (``_team_descent``).  Above it, and for
+    makespan, every within-team bijection is decided in turn.
     """
     if instance.teams is None:
         raise ValueError("instance has no teams")
     if objective not in ("flowtime", "makespan"):
         raise ValueError(f"unknown objective {objective!r}")
+    clock = _BudgetClock(budget)
     kernel = _GridKernel(instance.grid)
+    if objective == "flowtime":
+        least = _matching_lower_bound(instance, kernel)
+        if least is None or bound < least:
+            return Witness(False, None)
+        if bound == least:
+            return _team_descent(instance, kernel, bound, model, clock)
     for assignment in _team_assignments(instance):
-        labeled = relabel_with_assignment(instance, assignment)
+        comp = _Compiled(relabel_with_assignment(instance, assignment), kernel)
         if objective == "makespan":
-            witness = _makespan_at_most(_Compiled(labeled, kernel), bound, model, budget)
+            witness = _makespan_at_most(comp, bound, model, clock)
             if witness.decision:
                 return witness
         else:
-            comp = _Compiled(labeled, kernel)
             lb = comp.lower_bound
             if lb is None or lb > bound:
                 continue
             if lb == bound:
-                witness = _individually_optimal(comp, model, budget)
+                witness = _individually_optimal(comp, model, clock)
                 if witness.decision:
                     return witness
             else:
                 try:
-                    cost, solution = _optimal_flowtime(comp, model, budget)
+                    cost, solution = _optimal_flowtime(comp, model, clock)
                 except NoSolutionError:
                     continue
                 if cost <= bound:
@@ -518,14 +525,134 @@ def two_colored_decide(
     return Witness(False, None)
 
 
+def _team_descent(
+    instance: Instance, kernel: _GridKernel, bound: int, model: ConflictModel, clock: _BudgetClock
+) -> Witness:
+    """Decide flowtime ``bound``, the assignment-minimal lower bound, with one
+    joint strict-descent search in which each agent heads for any team target.
+
+    Flowtime >= sum of d(start, end) >= the bound, so a solution meets it
+    exactly when its ends are a min-cost bijection and each agent walks a
+    shortest path to its end and rests there.  An agent's live targets are
+    those every step so far has descended toward, ``d(start) - t ==
+    d(here)``, a function of (cell, t).  An unfinished agent steps to any
+    neighbour closer to a live target, or stays on one and is finished, a
+    static cell from then on.  States are (positions, t, finished mask),
+    pruned when the finished agents' costs plus each other agent's least
+    live cost exceed the bound.
+    """
+    dirs = instance.directions
+    nbr = kernel.neighbours(dirs)
+    starts = tuple(kernel.cid(a.start) for a in instance.agents)
+    n = len(starts)
+    # per agent, (distance field, cost from the start) of each team target it reaches
+    reach = []
+    for agent, start in zip(instance.agents, starts):
+        fields = [kernel.dist_to(kernel.cid(c), dirs) for c in sorted(instance.teams[agent.team])]
+        reach.append([(f, f[start]) for f in fields if f[start] >= 0])
+    start_key = (starts, 0, 0)
+    parent: dict[tuple[tuple[int, ...], int, int], Optional[tuple[tuple[int, ...], int, int]]] = {
+        start_key: None
+    }
+    stack = [start_key]
+    while stack:
+        key = stack.pop()
+        cur, t, done = key
+        clock.tick()
+        static_cells = {cur[i] for i in range(n) if done >> i & 1}
+        spent = 0  # finished agents' costs plus each other agent's least live cost
+        arrived = True  # every unfinished agent stands on a live target
+        active: list[int] = []
+        choices: list[list[int]] = []
+        for i in range(n):
+            here = cur[i]
+            if done >> i & 1:
+                spent += next(ds for f, ds in reach[i] if f[here] == 0)
+                continue
+            live = [f for f, ds in reach[i] if 0 <= f[here] == ds - t]
+            left = min(f[here] for f in live)
+            spent += t + left
+            arrived = arrived and left == 0
+            # staying finishes the agent, on a live target no finished agent holds
+            opts = [here] if left == 0 and here not in static_cells else []
+            opts += [c for c in nbr[here] if any(0 <= f[c] == f[here] - 1 for f in live)]
+            active.append(i)
+            choices.append(opts)
+        if spent > bound:
+            continue
+        if arrived and spent == bound and len(set(cur)) == n:
+            states = [k[0] for k in _trail(parent, key)]
+            return Witness(True, _solution_from_states(kernel.cell, states))
+        for nxt in _joint_moves(cur, active, choices, static_cells, model):
+            next_done = done
+            for i in active:
+                if nxt[i] == cur[i]:
+                    next_done |= 1 << i
+            nxt_key = (nxt, t + 1, next_done)
+            if nxt_key not in parent:
+                parent[nxt_key] = key
+                stack.append(nxt_key)
+    return Witness(False, None)
+
+
 def assignment_minimal_lower_bound(instance: Instance) -> Optional[int]:
-    """Smallest lower-bound cost over all within-team target bijections."""
+    """Smallest lower-bound cost over all within-team target bijections, or
+    None when every bijection leaves some agent short of its target."""
     if instance.teams is None:
         return lower_bound_cost(instance)
-    kernel = _GridKernel(instance.grid)
-    best: Optional[int] = None
-    for assignment in _team_assignments(instance):
-        lb = _Compiled(relabel_with_assignment(instance, assignment), kernel).lower_bound
-        if lb is not None and (best is None or lb < best):
-            best = lb
-    return best
+    return _matching_lower_bound(instance, _GridKernel(instance.grid))
+
+
+def _matching_lower_bound(instance: Instance, kernel: _GridKernel) -> Optional[int]:
+    """One min-cost perfect matching of members to targets per team."""
+    assert instance.teams is not None
+    dirs = instance.directions
+    total = 0
+    for team in sorted(instance.teams):
+        fields = [kernel.dist_to(kernel.cid(c), dirs) for c in sorted(instance.teams[team])]
+        starts = [kernel.cid(a.start) for a in instance.agents if a.team == team]
+        cost = _min_cost_matching([[f[s] if f[s] >= 0 else None for f in fields] for s in starts])
+        if cost is None:
+            return None
+        total += cost
+    return total
+
+
+def _min_cost_matching(cost: Sequence[Sequence[Optional[int]]]) -> Optional[int]:
+    """Least total cost of a perfect matching of rows to columns of a square
+    matrix whose None entries are forbidden pairs, or None when none avoids
+    them.  The Hungarian method (Kuhn 1955) with potentials, in O(n^3).
+    """
+    n = len(cost)
+    # dearer than every matching of finite entries, so one is used if any exists
+    big = 1 + sum(c for row in cost for c in row if c is not None)
+    a = [[big if c is None else c for c in row] for row in cost]
+    # 1-based: u, v are row and column potentials; match[j] is column j's row
+    u, v, match, way = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for row in range(1, n + 1):
+        match[0] = row
+        j0 = 0
+        slack = [None] * (n + 1)
+        used = [False] * (n + 1)
+        while match[j0]:
+            used[j0] = True
+            i0, step, j1 = match[j0], None, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    reduced = a[i0 - 1][j - 1] - u[i0] - v[j]
+                    if slack[j] is None or reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if step is None or slack[j] < step:
+                        step, j1 = slack[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += step
+                    v[j] -= step
+                else:
+                    slack[j] -= step
+            j0 = j1
+        while j0:
+            match[j0] = match[way[j0]]
+            j0 = way[j0]
+    total = sum(a[match[j] - 1][j - 1] for j in range(1, n + 1))
+    return total if total < big else None

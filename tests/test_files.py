@@ -157,6 +157,18 @@ class TestAgentsFormat:
             read_agents(f"directions LR\n{line}\nagent 0 0 0 3 0\n", GridMap(4, 1))
         assert e.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "directions DR\n\ndirections UDLR\nagent 0 0 0 1 0\n",
+            "directions DR\nwaits no\nwaits no\nagent 0 0 0 1 0\n",
+        ],
+    )
+    def test_second_header_line_carries_line(self, text):
+        with pytest.raises(FileFormatError, match="the first is line") as e:
+            read_agents(text, GridMap(2, 1))
+        assert e.value.line == 3
+
     def test_out_of_bounds_cell(self):
         grid = GridMap(2, 2)
         with pytest.raises(FileFormatError) as e:

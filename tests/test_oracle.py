@@ -39,6 +39,7 @@ from gridmapf.oracle import (
     two_colored_decide,
     _Compiled,
     _joint_moves,
+    _solution_from_states,
 )
 from rotation_reference import rotating_movers
 
@@ -109,7 +110,7 @@ def enumerate_memoized(instance, model=VERTEX_EDGE):
             (cur,) + tail for nxt in comp.descent_moves(cur, model) for tail in suffixes(nxt)
         )
 
-    return [comp.solution_from_states(states) for states in suffixes(comp.starts)]
+    return [_solution_from_states(comp.cell, states) for states in suffixes(comp.starts)]
 
 
 class TestExistsIndividuallyOptimal:

@@ -1,0 +1,147 @@
+"""Two-colored oracle tests: the joint team search and the matching bound
+against the per-assignment reference in ``team_reference``."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from gridmapf.core import (
+    ALL_CONFLICTS,
+    AgentTask,
+    Cell,
+    ConflictModel,
+    DirectionSet,
+    FOUR_DIRECTIONS,
+    GridMap,
+    Instance,
+    VERTEX_EDGE,
+    validate_solution,
+)
+from gridmapf.formula import parse_formula
+from gridmapf.oracle import (
+    BudgetExceededError,
+    SearchBudget,
+    _min_cost_matching,
+    assignment_minimal_lower_bound,
+    two_colored_decide,
+)
+from gridmapf.reduction import compile_formula, two_colored_variant
+from team_reference import reference_flowtime_decide, reference_lower_bound
+from test_golden import family_text
+
+ALL_MODELS = [ConflictModel(*flags) for flags in itertools.product((False, True), repeat=4)]
+BUDGET = SearchBudget(max_states=3000)
+
+
+def check_witness(instance, witness, model, bound):
+    """A YES witness is valid under ``model``, a per-team bijection, and within ``bound``."""
+    report = validate_solution(instance, witness.solution, model)  # raises unless a bijection
+    assert report.ok, report.conflicts
+    for team, targets in instance.teams.items():
+        ends = [p.end for p, a in zip(witness.solution.paths, instance.agents) if a.team == team]
+        assert sorted(ends) == sorted(targets)
+    assert witness.solution.flowtime() <= bound
+
+
+def test_min_cost_matching_matches_every_permutation():
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randrange(0, 6)
+        cost = [
+            [None if rng.random() < 0.3 else rng.randrange(10) for _ in range(n)] for _ in range(n)
+        ]
+        totals = [
+            sum(cost[i][j] for i, j in enumerate(perm))
+            for perm in itertools.permutations(range(n))
+            if all(cost[i][j] is not None for i, j in enumerate(perm))
+        ]
+        assert _min_cost_matching(cost) == min(totals, default=None)
+
+
+@st.composite
+def colored_instances(draw):
+    """Grids up to 4x4, at most four agents in one or two teams, any direction set."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = [Cell(c, r) for r in range(height) for c in range(width)]
+    obstacles = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1))
+    free = [c for c in cells if c not in obstacles]
+    k = draw(st.integers(1, min(4, len(free))))
+    starts = draw(st.permutations(free))[:k]
+    targets = draw(st.permutations(free))[:k]
+    teams = [draw(st.sampled_from("ab")) for _ in range(k)]
+    letters = "".join(sorted(draw(st.sets(st.sampled_from("UDLR")))))
+    return Instance(
+        GridMap(width, height, frozenset(obstacles)),
+        tuple(AgentTask(i, s, g, t) for i, (s, g, t) in enumerate(zip(starts, targets, teams))),
+        DirectionSet.from_letters(letters, waits_allowed=draw(st.booleans())),
+        teams={t: frozenset(g for g, u in zip(targets, teams) if u == t) for t in set(teams)},
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(colored_instances())
+def test_joint_search_matches_per_assignment_reference(inst):
+    lb = assignment_minimal_lower_bound(inst)
+    assert lb == reference_lower_bound(inst)
+    bounds = (0,) if lb is None else (lb, lb - 1, lb + 1)
+    try:
+        for model in ALL_MODELS:
+            for bound in bounds:
+                witness = two_colored_decide(inst, "flowtime", bound, model, BUDGET)
+                expected = reference_flowtime_decide(inst, bound, model, BUDGET)
+                assert witness.decision == expected.decision, (model, bound)
+                if witness.decision:
+                    check_witness(inst, witness, model, bound)
+    except BudgetExceededError:
+        reject()
+
+
+def test_compiled_formulas_match_per_assignment_reference(corpus_compiled):
+    # the corpus under two models, and the benchmark family and its UNSAT twin at n <= 5
+    both = (VERTEX_EDGE, ALL_CONFLICTS)
+    cases = [(name, compiled, both) for name, compiled in corpus_compiled.items()]
+    for n in range(2, 6):
+        for unsat in (False, True):
+            compiled = compile_formula(parse_formula(family_text(n, unsat)))
+            cases.append((f"family n={n} unsat={unsat}", compiled, (VERTEX_EDGE,)))
+    for name, (inst, meta), models in cases:
+        colored = two_colored_variant(inst, meta)
+        lb = assignment_minimal_lower_bound(colored)
+        assert lb == reference_lower_bound(colored), name
+        for model in models:
+            witness = two_colored_decide(colored, "flowtime", lb, model)
+            assert witness.decision == reference_flowtime_decide(colored, lb, model).decision, name
+            if witness.decision:
+                check_witness(colored, witness, model, lb)
+
+
+def test_one_budget_covers_every_assignment():
+    # a's and b's must pass each other in a one-wide corridor, so each of
+    # the four bijections fails after at most 5 states, 17 in all
+    c = lambda col: Cell(col, 0)
+    inst = Instance(
+        GridMap(4, 1),
+        (
+            AgentTask(0, c(0), c(2), "a"),
+            AgentTask(1, c(1), c(3), "a"),
+            AgentTask(2, c(2), c(0), "b"),
+            AgentTask(3, c(3), c(1), "b"),
+        ),
+        FOUR_DIRECTIONS,
+        teams={"a": frozenset({c(2), c(3)}), "b": frozenset({c(0), c(1)})},
+    )
+    assert not two_colored_decide(inst, "makespan", 6).decision
+    with pytest.raises(BudgetExceededError):
+        two_colored_decide(inst, "makespan", 6, budget=SearchBudget(max_states=8))
+
+
+def test_unsat_twin_at_six_is_one_small_search():
+    # the per-assignment reference expands tens of thousands of states here
+    inst, meta = compile_formula(parse_formula(family_text(6, True)))
+    colored = two_colored_variant(inst, meta)
+    lb = assignment_minimal_lower_bound(colored)
+    witness = two_colored_decide(colored, "flowtime", lb, budget=SearchBudget(max_states=2000))
+    assert not witness.decision
