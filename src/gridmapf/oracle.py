@@ -66,6 +66,7 @@ class _BudgetClock:
             None if budget.max_seconds is None else time.perf_counter() + budget.max_seconds
         )
         self.expanded = 0
+        self.generated = 0
 
     def tick(self) -> None:
         self.expanded += 1
@@ -74,6 +75,18 @@ class _BudgetClock:
         if self.deadline is not None and self.expanded % 512 == 0:
             if time.perf_counter() > self.deadline:
                 raise BudgetExceededError("wall-time budget exhausted")
+
+    def paced(self, moves: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+        """``moves``, with the deadline also checked every 512 of them: one
+        expansion may generate hundreds of thousands of joint moves."""
+        return moves if self.deadline is None else self._paced(moves)
+
+    def _paced(self, moves: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+        for move in moves:
+            self.generated += 1
+            if not self.generated % 512 and time.perf_counter() > self.deadline:
+                raise BudgetExceededError("wall-time budget exhausted")
+            yield move
 
 
 class _Compiled:
@@ -221,7 +234,7 @@ def _individually_optimal(comp: _Compiled, model: ConflictModel, clock: _BudgetC
         clock.tick()
         if cur == comp.goals:
             return Witness(True, _solution_from_states(comp.cell, _trail(parent, cur)))
-        for nxt in comp.descent_moves(cur, model):
+        for nxt in clock.paced(comp.descent_moves(cur, model)):
             if nxt not in parent:
                 parent[nxt] = cur
                 stack.append(nxt)
@@ -256,7 +269,7 @@ def enumerate_individually_optimal(
         if cur == comp.goals:
             out.append(_solution_from_states(comp.cell, trail))
             return limit is not None and len(out) >= limit
-        for nxt in comp.descent_moves(cur, model):
+        for nxt in clock.paced(comp.descent_moves(cur, model)):
             trail.append(nxt)
             done = rec()
             trail.pop()
@@ -333,7 +346,7 @@ def _makespan_at_most(
             choices.append(opts)
         else:
             static_cells = {cur[i] for i in range(n) if parked >> i & 1} if parked else ()
-            for nxt in _joint_moves(cur, active, choices, static_cells, model):
+            for nxt in clock.paced(_joint_moves(cur, active, choices, static_cells, model)):
                 next_parked = parked
                 if not waits:
                     for i in active:
@@ -357,9 +370,11 @@ def optimal_flowtime(
     at its goal forever; an unfinished agent pays one cost unit per time
     step, moving or not, and may declare itself finished at its goal via a
     zero-cost transition.  Without waits an unfinished agent moves at every
-    step; only finishing lets it stay put.  The heuristic is the sum of the
-    unfinished agents' goal distances.  Raises ``NoSolutionError`` when the
-    instance has no feasible solution.
+    step; only finishing lets it stay put.  An agent steps only to cells
+    from which its goal is still reachable.  The heuristic is the sum of the
+    unfinished agents' goal distances.  The strict-descent search runs
+    first: its YES is exact at the lower bound.  Raises ``NoSolutionError``
+    when the instance has no feasible solution.
     """
     return _optimal_flowtime(_Compiled(instance), model, _BudgetClock(budget))
 
@@ -373,6 +388,10 @@ def _optimal_flowtime(
     for i in range(n):
         if comp.dist[i][comp.starts[i]] < 0:
             raise NoSolutionError(f"agent {comp.instance.agents[i].id} cannot reach its goal")
+    # flowtime >= the lower bound, so a strict-descent witness is optimal
+    descent = _individually_optimal(comp, model, clock)
+    if descent.decision:
+        return comp.lower_bound, descent.solution
 
     goals = comp.goals
     nbr = comp.nbr
@@ -404,8 +423,12 @@ def _optimal_flowtime(
         if not active:
             return
         static_cells = frozenset(cur[i] for i in range(n) if mask & (1 << i))
-        choices = [((cur[i],) if waits else ()) + nbr[cur[i]] for i in active]
-        for nxt in _joint_moves(cur, active, choices, static_cells, model):
+        # a cell from which the goal is out of reach leads only to such cells
+        choices = [
+            ((cur[i],) if waits else ()) + tuple(c for c in nbr[cur[i]] if dist[i][c] >= 0)
+            for i in active
+        ]
+        for nxt in clock.paced(_joint_moves(cur, active, choices, static_cells, model)):
             yield (nxt, mask), len(active), True
 
     while heap:
@@ -487,7 +510,8 @@ def two_colored_decide(
     ``objective`` is ``"flowtime"`` or ``"makespan"``; one budget covers the
     whole call.  Flowtime below the assignment-minimal lower bound is NO and
     at it is one joint search (``_team_descent``).  Above it, and for
-    makespan, every within-team bijection is decided in turn.
+    makespan, every within-team bijection is decided in turn, once its
+    distances to its targets leave the bound within reach.
     """
     if instance.teams is None:
         raise ValueError("instance has no teams")
@@ -501,27 +525,28 @@ def two_colored_decide(
             return Witness(False, None)
         if bound == least:
             return _team_descent(instance, kernel, bound, model, clock)
+    dirs = instance.directions
+    starts = [kernel.cid(a.start) for a in instance.agents]
+    fields = {c: kernel.dist_to(kernel.cid(c), dirs) for cs in instance.teams.values() for c in cs}
     for assignment in _team_assignments(instance):
+        # each agent's distance to its target rejects most bijections unbuilt
+        lengths = [fields[assignment[a.id]][s] for a, s in zip(instance.agents, starts)]
+        spent = max(lengths, default=0) if objective == "makespan" else sum(lengths)
+        if min(lengths, default=0) < 0 or spent > bound:
+            continue
         comp = _Compiled(relabel_with_assignment(instance, assignment), kernel)
         if objective == "makespan":
             witness = _makespan_at_most(comp, bound, model, clock)
-            if witness.decision:
-                return witness
+        elif spent == bound:
+            witness = _individually_optimal(comp, model, clock)
         else:
-            lb = comp.lower_bound
-            if lb is None or lb > bound:
+            try:
+                cost, solution = _optimal_flowtime(comp, model, clock)
+            except NoSolutionError:
                 continue
-            if lb == bound:
-                witness = _individually_optimal(comp, model, clock)
-                if witness.decision:
-                    return witness
-            else:
-                try:
-                    cost, solution = _optimal_flowtime(comp, model, clock)
-                except NoSolutionError:
-                    continue
-                if cost <= bound:
-                    return Witness(True, solution)
+            witness = Witness(cost <= bound, solution)
+        if witness.decision:
+            return witness
     return Witness(False, None)
 
 
@@ -583,7 +608,7 @@ def _team_descent(
         if arrived and spent == bound and len(set(cur)) == n:
             states = [k[0] for k in _trail(parent, key)]
             return Witness(True, _solution_from_states(kernel.cell, states))
-        for nxt in _joint_moves(cur, active, choices, static_cells, model):
+        for nxt in clock.paced(_joint_moves(cur, active, choices, static_cells, model)):
             next_done = done
             for i in active:
                 if nxt[i] == cur[i]:

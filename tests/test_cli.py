@@ -134,19 +134,20 @@ class TestSolveAndOracle:
         assert capsys.readouterr().out.strip() == "1"
 
     def test_timeout_zero_exits_two(self, workdir):
-        # Four agents swapping corners: the flowtime and delta searches
-        # expand more than 512 states, the interval at which the deadline
-        # is read.
+        # Two head-on pairs crossing at the centre: no individually optimal
+        # solution exists, so the flowtime and delta searches go on to the
+        # A*, which generates more than 512 joint moves, the interval at
+        # which the deadline is read.
         (workdir / "open.map").write_text("height 5\nwidth 5\nmap\n" + ".....\n" * 5)
         (workdir / "swap.agents").write_text(
-            "directions UDLR\nagent 1 0 0 4 4\nagent 2 4 0 0 4\n"
-            "agent 3 0 4 4 0\nagent 4 4 4 0 0\n"
+            "directions UDLR\nagent 1 0 2 4 2\nagent 2 4 2 0 2\n"
+            "agent 3 2 0 2 4\nagent 4 2 4 2 0\n"
         )
         files = (workdir / "open.map", workdir / "swap.agents")
         assert run("oracle", *files, "--mode", "flowtime", "--timeout", "0") == 2
         assert run("delta", *files, "--timeout", "0") == 2
         assert run("delta", *files, "--timeout", "-1") == 2
-        assert run("oracle", *files, "--mode", "indopt", "--timeout", "60") == 0
+        assert run("oracle", *files, "--mode", "indopt", "--timeout", "60") == 1
 
     def test_solution_revalidates_through_verify(self, workdir):
         run(

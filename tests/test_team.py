@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from gridmapf import oracle
 from gridmapf.core import (
     ALL_CONFLICTS,
     AgentTask,
@@ -29,21 +30,26 @@ from gridmapf.oracle import (
     two_colored_decide,
 )
 from gridmapf.reduction import compile_formula, two_colored_variant
-from team_reference import reference_flowtime_decide, reference_lower_bound
+from team_reference import (
+    reference_flowtime_decide,
+    reference_lower_bound,
+    reference_makespan_decide,
+)
 from test_golden import family_text
 
 ALL_MODELS = [ConflictModel(*flags) for flags in itertools.product((False, True), repeat=4)]
 BUDGET = SearchBudget(max_states=3000)
 
 
-def check_witness(instance, witness, model, bound):
-    """A YES witness is valid under ``model``, a per-team bijection, and within ``bound``."""
+def check_witness(instance, witness, model, bound, objective="flowtime"):
+    """A YES witness is valid under ``model``, a per-team bijection, and
+    within ``bound`` in ``objective``."""
     report = validate_solution(instance, witness.solution, model)  # raises unless a bijection
     assert report.ok, report.conflicts
     for team, targets in instance.teams.items():
         ends = [p.end for p, a in zip(witness.solution.paths, instance.agents) if a.team == team]
         assert sorted(ends) == sorted(targets)
-    assert witness.solution.flowtime() <= bound
+    assert getattr(witness.solution, objective)() <= bound
 
 
 def test_min_cost_matching_matches_every_permutation():
@@ -99,6 +105,20 @@ def test_joint_search_matches_per_assignment_reference(inst):
         reject()
 
 
+@settings(max_examples=300, deadline=None)
+@given(colored_instances(), st.integers(0, 6))
+def test_makespan_matches_per_assignment_reference(inst, bound):
+    try:
+        for model in ALL_MODELS:
+            witness = two_colored_decide(inst, "makespan", bound, model, BUDGET)
+            expected = reference_makespan_decide(inst, bound, model, BUDGET)
+            assert witness.decision == expected.decision, model
+            if witness.decision:
+                check_witness(inst, witness, model, bound, "makespan")
+    except BudgetExceededError:
+        reject()
+
+
 def test_compiled_formulas_match_per_assignment_reference(corpus_compiled):
     # the corpus under two models, and the benchmark family and its UNSAT twin at n <= 5
     both = (VERTEX_EDGE, ALL_CONFLICTS)
@@ -145,3 +165,32 @@ def test_unsat_twin_at_six_is_one_small_search():
     lb = assignment_minimal_lower_bound(colored)
     witness = two_colored_decide(colored, "flowtime", lb, budget=SearchBudget(max_states=2000))
     assert not witness.decision
+
+
+def test_bijections_out_of_reach_are_never_built(monkeypatch):
+    # Three a's cross an open 4x4 grid along rows 0-2.  Of the 3! bijections
+    # only the straight one keeps every distance within 3, or the distance
+    # sum within 10; the other five are rejected before any instance is built.
+    builds = []
+
+    class CountingCompiled(oracle._Compiled):
+        def __init__(self, *args):
+            builds.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(oracle, "_Compiled", CountingCompiled)
+    targets = [Cell(3, row) for row in range(3)]
+    inst = Instance(
+        GridMap(4, 4),
+        tuple(AgentTask(row, Cell(0, row), targets[row], "a") for row in range(3)),
+        FOUR_DIRECTIONS,
+        teams={"a": frozenset(targets)},
+    )
+    assert assignment_minimal_lower_bound(inst) == 9
+    cases = [("makespan", 2, 0, False), ("makespan", 3, 1, True), ("flowtime", 10, 1, True)]
+    for objective, bound, built, decision in cases:
+        builds.clear()
+        witness = two_colored_decide(inst, objective, bound)
+        assert (witness.decision, len(builds)) == (decision, built), (objective, bound)
+        reference = {"makespan": reference_makespan_decide, "flowtime": reference_flowtime_decide}
+        assert reference[objective](inst, bound, VERTEX_EDGE).decision == decision
