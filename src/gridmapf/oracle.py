@@ -72,8 +72,9 @@ class _BudgetClock:
         self.expanded += 1
         if self.expanded > self.max_states:
             raise BudgetExceededError(f"state budget of {self.max_states} exhausted")
-        if self.deadline is not None and self.expanded % 512 == 0:
-            if time.perf_counter() > self.deadline:
+        # read at the first expansion too, so a short search still meets a deadline
+        if self.deadline is not None and self.expanded % 512 == 1:
+            if time.perf_counter() >= self.deadline:
                 raise BudgetExceededError("wall-time budget exhausted")
 
     def paced(self, moves: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
@@ -84,7 +85,7 @@ class _BudgetClock:
     def _paced(self, moves: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
         for move in moves:
             self.generated += 1
-            if not self.generated % 512 and time.perf_counter() > self.deadline:
+            if not self.generated % 512 and time.perf_counter() >= self.deadline:
                 raise BudgetExceededError("wall-time budget exhausted")
             yield move
 
@@ -116,7 +117,7 @@ class _Compiled:
         """Every conflict-free joint move in which each unfinished agent steps
         one cell closer to its goal and each finished agent rests there."""
         active: list[int] = []
-        choices: list[tuple[int, ...]] = []
+        choices: list[list[int]] = []
         static_cells: set[int] = set()
         for i, (here, goal) in enumerate(zip(cur, self.goals)):
             if here == goal:
@@ -125,7 +126,7 @@ class _Compiled:
             dist = self.dist[i]
             want = dist[here] - 1
             active.append(i)
-            choices.append(tuple(c for c in self.nbr[here] if dist[c] == want))
+            choices.append([c for c in self.nbr[here] if dist[c] == want])
         return _joint_moves(cur, active, choices, static_cells, model)
 
 
@@ -151,6 +152,8 @@ def _joint_moves(
     following conflicts, by one pass over the earlier movers.  Cycle
     conflicts are checked on the complete move by ``core._rotations``, the
     rule ``validate_solution`` reports, which no agent numbering changes.
+    One backtracking loop: ``index[k]``, past level ``k``'s choice, is
+    nonzero exactly while ``nxt`` and ``chosen`` hold that choice.
     """
     nxt = list(cur)
     last = len(active)
@@ -158,42 +161,50 @@ def _joint_moves(
     following = model.forbid_following
     pairs = following or model.forbid_edge
     chosen: set[int] = set()
-
-    def rec(k: int) -> Iterator[tuple[int, ...]]:
+    index = [0] * last
+    k = 0
+    while k >= 0:
         if k == last:
-            move = tuple(nxt)
-            if not (model.forbid_cycle and _rotations(cur, move)):
-                yield move
-            return
+            if not (model.forbid_cycle and _rotations(cur, nxt)):
+                yield tuple(nxt)
+            k -= 1
+            continue
         i = active[k]
         here = cur[i]
-        for c in choices[k]:
+        opts = choices[k]
+        p = index[k]
+        if p and vertex:
+            chosen.discard(nxt[i])
+        while p < len(opts):
+            c = opts[p]
+            p += 1
             if vertex and (c in chosen or c in static_cells):
                 continue
             # without the following rule only a swap clashes, and a swap
             # needs c to be some agent's cell: ``c in cur`` rules most out
             if pairs and c != here and (following or c in cur):
-                clash = False
-                for earlier in range(k):
-                    j = active[earlier]
+                for j in active[:k]:
                     left = cur[j]
                     if c == left:
                         # i enters j's cell: a swap, or following if j left it
-                        clash = nxt[j] != left and (following or nxt[j] == here)
-                    elif following and nxt[j] == here:
-                        # j enters i's cell, having left its own
-                        clash = left != here
-                    if clash:
-                        break
-                if clash:
-                    continue
-            nxt[i] = c
-            if vertex:
-                chosen.add(c)
-            yield from rec(k + 1)
-            chosen.discard(c)
-
-    return rec(0)
+                        if nxt[j] != left and (following or nxt[j] == here):
+                            break
+                    elif following and nxt[j] == here and left != here:
+                        break  # j enters i's cell, having left its own
+                else:
+                    break
+                continue
+            break
+        else:
+            index[k] = 0
+            nxt[i] = here
+            k -= 1
+            continue
+        index[k] = p
+        nxt[i] = c
+        if vertex:
+            chosen.add(c)
+        k += 1
 
 
 def _trail(parent: dict, key: object) -> list:
@@ -249,9 +260,9 @@ def enumerate_individually_optimal(
 ) -> list[Solution]:
     """All individually optimal solutions, up to ``limit`` of them.
 
-    Plain depth-first enumeration of complete strict-descent trajectories,
-    in deterministic order.  ``limit`` truncates the output; the budget
-    aborts with an error.
+    Depth-first enumeration of complete strict-descent trajectories, one
+    move iterator per step, in deterministic order.  ``limit`` truncates
+    the output; the budget aborts with an error.
     """
     comp = _Compiled(instance)
     if comp.lower_bound is None:
@@ -262,22 +273,22 @@ def enumerate_individually_optimal(
     clock = _BudgetClock(budget)
     out: list[Solution] = []
     trail: list[tuple[int, ...]] = [comp.starts]
-
-    def rec() -> bool:
+    moves: list[Iterator[tuple[int, ...]]] = []  # moves[t] leaves trail[t]
+    while trail:
         clock.tick()
-        cur = trail[-1]
-        if cur == comp.goals:
+        if trail[-1] == comp.goals:
             out.append(_solution_from_states(comp.cell, trail))
-            return limit is not None and len(out) >= limit
-        for nxt in clock.paced(comp.descent_moves(cur, model)):
-            trail.append(nxt)
-            done = rec()
+            if limit is not None and len(out) >= limit:
+                break
+            moves.append(iter(()))
+        else:
+            moves.append(clock.paced(comp.descent_moves(trail[-1], model)))
+        # back up to the deepest state with a move left, and take it
+        while trail and (nxt := next(moves[-1], None)) is None:
+            moves.pop()
             trail.pop()
-            if done:
-                return True
-        return False
-
-    rec()
+        if trail:
+            trail.append(nxt)
     return out
 
 
@@ -600,7 +611,11 @@ def _team_descent(
             arrived = arrived and left == 0
             # staying finishes the agent, on a live target no finished agent holds
             opts = [here] if left == 0 and here not in static_cells else []
-            opts += [c for c in nbr[here] if any(0 <= f[c] == f[here] - 1 for f in live)]
+            for c in nbr[here]:
+                for f in live:
+                    if 0 <= f[c] == f[here] - 1:
+                        opts.append(c)
+                        break
             active.append(i)
             choices.append(opts)
         if spent > bound:

@@ -135,9 +135,7 @@ class TestSolveAndOracle:
 
     def test_timeout_zero_exits_two(self, workdir):
         # Two head-on pairs crossing at the centre: no individually optimal
-        # solution exists, so the flowtime and delta searches go on to the
-        # A*, which generates more than 512 joint moves, the interval at
-        # which the deadline is read.
+        # solution exists, so the flowtime and delta searches go on to the A*.
         (workdir / "open.map").write_text("height 5\nwidth 5\nmap\n" + ".....\n" * 5)
         (workdir / "swap.agents").write_text(
             "directions UDLR\nagent 1 0 2 4 2\nagent 2 4 2 0 2\n"
@@ -148,6 +146,16 @@ class TestSolveAndOracle:
         assert run("delta", *files, "--timeout", "0") == 2
         assert run("delta", *files, "--timeout", "-1") == 2
         assert run("oracle", *files, "--mode", "indopt", "--timeout", "60") == 1
+        # Four agents swapping the corners: the strict-descent search answers
+        # within a few expansions, so the deadline must be read at the first.
+        (workdir / "corners.agents").write_text(
+            "directions UDLR\nagent 1 0 0 4 4\nagent 2 4 4 0 0\n"
+            "agent 3 4 0 0 4\nagent 4 0 4 4 0\n"
+        )
+        files = (workdir / "open.map", workdir / "corners.agents")
+        assert run("oracle", *files, "--mode", "flowtime", "--timeout", "0") == 2
+        assert run("delta", *files, "--timeout", "0") == 2
+        assert run("oracle", *files, "--mode", "flowtime", "--timeout", "60") == 0
 
     def test_solution_revalidates_through_verify(self, workdir):
         run(

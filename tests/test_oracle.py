@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -265,6 +266,23 @@ class TestEnumerate:
             assert {tuple(p.cells for p in s.paths) for s in plain} == {
                 tuple(p.cells for p in s.paths) for s in memo
             }
+
+
+class TestNoDepthLimit:
+    """The searches keep no Python frame per agent or per time step."""
+
+    def test_twelve_hundred_agents_one_step(self):
+        # one joint move assigns 1,200 agents in turn
+        width = 1200
+        agents = tuple(AgentTask(x, Cell(x, 0), Cell(x, 1)) for x in range(width))
+        inst = Instance(GridMap(width, 2), agents, DOWN_RIGHT)
+        assert exists_individually_optimal(inst).decision
+        assert exists_makespan_at_most(inst, 1).decision
+
+    def test_enumeration_down_a_long_corridor(self):
+        inst = Instance(GridMap(1100, 1), (AgentTask(0, Cell(0, 0), Cell(1099, 0)),), DOWN_RIGHT)
+        [solution] = enumerate_individually_optimal(inst, limit=1)
+        assert solution.flowtime() == 1099
 
 
 class TestMakespan:
@@ -549,6 +567,33 @@ def test_joint_moves_match_filtered_product(inputs):
         assert list(_joint_moves(cur, active, choices, static_cells, model)) == (
             reference_joint_moves(cur, active, choices, static_cells, model)
         )
+
+
+def test_joint_moves_match_filtered_product_deep():
+    # Hypothesis draws at most four agents, too few levels for the restore
+    # paths of the backtracking loop: here 8-12 active agents take one to
+    # three choices each (none at one level of every fourth case), on at
+    # most ten cells, so agents share cells and some stand static.
+    rng = random.Random(9)
+    cases = moves = 0
+    while cases < 40:
+        cells = rng.randint(6, 10)
+        n_active = rng.randint(8, 12)
+        n = n_active + rng.randint(0, 3)
+        cur = tuple(rng.randrange(cells) for _ in range(n))
+        active = sorted(rng.sample(range(n), n_active))
+        choices = [rng.sample(range(cells), rng.choice((1, 2, 2, 3, 3))) for _ in active]
+        if cases % 4 == 3:
+            choices[rng.randrange(n_active)] = []
+        if math.prod(map(len, choices)) > 2000:
+            continue
+        static_cells = {cur[i] for i in range(n) if i not in active}
+        for model in ALL_MODELS:
+            found = list(_joint_moves(cur, active, choices, static_cells, model))
+            assert found == reference_joint_moves(cur, active, choices, static_cells, model)
+            moves += len(found)
+        cases += 1
+    assert moves > 10_000
 
 
 def test_joint_moves_cases():
