@@ -422,14 +422,14 @@ class _GridKernel:
         """The ids reachable from ``start`` under ``dirs``, in BFS order."""
         return self._field(start, dirs, False)[1]
 
-    def dist_to_avoiding(self, goal: int, dirs: DirectionSet, blocked: Iterable[int]) -> list[int]:
-        """``dist_to`` with the ``blocked`` ids treated as obstacles (not memoized)."""
-        table = self.neighbours(dirs, reverse=True)
+    def dist_from_avoiding(self, start: int, dirs: DirectionSet, blocked: Iterable[int]) -> list[int]:
+        """``dist_from`` with the ``blocked`` ids treated as obstacles (not memoized)."""
+        table = self.neighbours(dirs)
         dist = [-1] * len(table)
         for cid in blocked:
             dist[cid] = -2
-        if dist[goal] == -1:
-            _bfs(table, goal, dist)
+        if dist[start] == -1:
+            _bfs(table, start, dist)
         return dist
 
 

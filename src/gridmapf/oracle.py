@@ -261,11 +261,13 @@ def enumerate_individually_optimal(
     """All individually optimal solutions, up to ``limit`` of them.
 
     Depth-first enumeration of complete strict-descent trajectories, one
-    move iterator per step, in deterministic order.  ``limit`` truncates
-    the output; the budget aborts with an error.
+    move iterator per step, in deterministic order.  ``limit`` (at least 0)
+    truncates the output; the budget aborts with an error.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, not {limit}")
     comp = _Compiled(instance)
-    if comp.lower_bound is None:
+    if comp.lower_bound is None or limit == 0:
         return []
     if not comp.starts:
         return [Solution(())]

@@ -579,9 +579,16 @@ def makespan_variant(
     if meta.variant != "base":
         raise ValueError("makespan_variant starts from the base instance")
     kernel = _GridKernel(instance.grid)
+    side_of = {c.id: c.side for c in meta.formula.clauses}
     dists: dict[int, int] = {}
     for agent in instance.agents:
-        d = kernel.dist_to(kernel.cid(agent.goal), instance.directions)[kernel.cid(agent.start)]
+        # Exact where reached, by the Manhattan argument of check 8 below.
+        sign = meta.sign_directions(side_of[agent.id])
+        d = None
+        if sign.moves <= instance.directions.moves:
+            d = kernel.at(kernel.dist_from_avoiding(kernel.cid(agent.start), sign, ()), agent.goal)
+        if d is None:
+            d = kernel.dist_to(kernel.cid(agent.goal), instance.directions)[kernel.cid(agent.start)]
         assert d >= 0
         dists[agent.id] = d
     common = max(dists.values(), default=0)
@@ -724,9 +731,6 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
     def start_field(c: Clause) -> list[int]:
         return kernel.dist_from(kernel.cid(agents[c.id].start), meta.sign_directions(c.side))
 
-    def goal_field(c: Clause) -> list[int]:
-        return kernel.dist_to(kernel.cid(agents[c.id].goal), meta.sign_directions(c.side))
-
     # 1. unique start-to-opening distances per sign
     problems = []
     for side in (Side.POSITIVE, Side.NEGATIVE):
@@ -803,9 +807,8 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
     # 5. a route through every clause variable's channel, all equal length
     problems = []
     for c in clauses:
-        agent = agents[c.id]
-        to_goal = goal_field(c)
-        total = at(to_goal, agent.start)
+        agent, dirs = agents[c.id], meta.sign_directions(c.side)
+        total = at(start_field(c), agent.goal)
         if total is None:
             problems.append(f"agent {c.id} cannot reach its target")
             continue
@@ -815,7 +818,10 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
                 problems.append(f"variable {v} has no channel")
                 continue
             d1 = entry[(c.id, v)]
-            d2 = at(to_goal, meta.exit_cell(c.side, ch))
+            exit_ = meta.exit_cell(c.side, ch)
+            d2 = None
+            if grid.is_free(exit_):
+                d2 = at(kernel.dist_from_avoiding(kernel.cid(exit_), dirs, ()), agent.goal)
             if d1 is None or d2 is None:
                 problems.append(f"agent {c.id} has no route through channel {v}")
             elif d1 + meta.channel_length + d2 != total:
@@ -833,10 +839,10 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
             ch = meta.channel_by_var(v)
             if ch is not None:
                 blocked += [kernel.cid(cell) for cell in ch.cells() if grid.in_bounds(cell)]
-        bypass = kernel.dist_to_avoiding(
-            kernel.cid(agent.goal), meta.sign_directions(c.side), blocked
+        bypass = kernel.dist_from_avoiding(
+            kernel.cid(agent.start), meta.sign_directions(c.side), blocked
         )
-        if bypass[kernel.cid(agent.start)] >= 0:
+        if bypass[kernel.cid(agent.goal)] >= 0:
             problems.append(f"agent {c.id} can bypass its channels")
         for ch in meta.channels:
             if ch.var in c.vars:
@@ -862,15 +868,16 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
         )
     )
 
-    # 8. two directions per sign suffice (left moves never help anyone)
+    # 8. two directions per sign suffice (left moves never help anyone).  A
+    # path of the sign's two orthogonal moves is as long as the Manhattan
+    # distance, which no path beats: only an unreached goal needs the BFS.
     problems = []
     for c in clauses:
-        start = agents[c.id].start
-        # Read once, so not memoized: one such field per clause would
-        # otherwise stay alive until the call returns.
-        goal = kernel.cid(agents[c.id].goal)
-        d_free = at(kernel.dist_to_avoiding(goal, FOUR_DIRECTIONS, ()), start)
-        d_sign = at(goal_field(c), start)
+        goal = agents[c.id].goal
+        d_sign = d_free = at(start_field(c), goal)
+        if d_sign is None:
+            start = kernel.cid(agents[c.id].start)
+            d_free = at(kernel.dist_from_avoiding(start, FOUR_DIRECTIONS, ()), goal)
         if d_free != d_sign:
             problems.append(
                 f"agent {c.id}: unrestricted distance {d_free} beats two-direction {d_sign}"

@@ -87,17 +87,18 @@ def test_blocked_ids_act_as_obstacles(grid, dirs, data):
     free = list(grid.free_cells())
     blocked = data.draw(st.sets(st.sampled_from(free)))
     pruned = GridMap(grid.width, grid.height, grid.obstacles | blocked)
-    for goal in free:
-        field = kernel.dist_to_avoiding(kernel.cid(goal), dirs, map(kernel.cid, blocked))
-        if goal in blocked:
+    memo = {start: kernel.dist_from(kernel.cid(start), dirs) for start in free}
+    for start in free:
+        field = kernel.dist_from_avoiding(kernel.cid(start), dirs, map(kernel.cid, blocked))
+        assert field is not memo[start]
+        if start in blocked:
             assert max(field) < 0
         else:
-            assert as_cells(kernel, field) == reference_bfs(pruned, goal, backward(dirs))
-    # The blocked search leaves the memoized fields alone.
-    for goal in free:
-        assert as_cells(kernel, kernel.dist_to(kernel.cid(goal), dirs)) == reference_bfs(
-            grid, goal, backward(dirs)
-        )
+            assert as_cells(kernel, field) == reference_bfs(pruned, start, forward(dirs))
+    # The blocked search leaves the memoized fields as they were.
+    for start in free:
+        assert kernel.dist_from(kernel.cid(start), dirs) is memo[start]
+        assert as_cells(kernel, memo[start]) == reference_bfs(grid, start, forward(dirs))
 
 
 @settings(max_examples=30, deadline=None)

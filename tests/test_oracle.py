@@ -246,6 +246,9 @@ class TestEnumerate:
             FOUR_DIRECTIONS,
         )
         assert len(enumerate_individually_optimal(inst, limit=3)) == 3
+        assert enumerate_individually_optimal(inst, limit=0) == []
+        with pytest.raises(ValueError):
+            enumerate_individually_optimal(inst, limit=-1)
 
     def test_memoized_enumeration_is_lossless(self):
         rng = random.Random(29)

@@ -5,7 +5,9 @@ import dataclasses
 import pytest
 
 from gridmapf.core import (
+    FOUR_DIRECTIONS,
     Cell,
+    GridMap,
     Instance,
     shortest_dist_field,
     is_individually_optimal,
@@ -41,6 +43,18 @@ def compute_l(instance, meta):
             field = shortest_dist_field(instance.grid, meta.entry_cell(c.side, channel), dirs)
             longest = max(longest, field.get(starts[c.id], 0))
     return longest
+
+
+def failures(report):
+    """Check name -> detail, for each check that fails."""
+    return {c.name: c.detail for c in report.failures()}
+
+
+def goal_above_start(inst):
+    """``two-clause-sat`` with the positive agent 1's target moved from
+    (4, 30) to (4, 2), one row above its start (0, 3)."""
+    agents = tuple(dataclasses.replace(a, goal=Cell(4, 2)) if a.id == 1 else a for a in inst.agents)
+    return Instance(inst.grid, agents, inst.directions)
 
 
 class TestCompileBasics:
@@ -171,7 +185,46 @@ class TestVerifyConstruction:
         )
         hacked = Instance(grid, inst.agents, inst.directions)
         report = verify_construction(hacked, meta)
-        assert not report.ok
+        # The routes through channel 2 still have the right lengths, so the
+        # geometry check is the one that sees the blocked cell.
+        assert failures(report) == {"channel-geometry": f"channel 1 cell {mid} is not free"}
+
+    def test_channel_length_lie_fails_route_lengths(self, corpus_compiled):
+        """Check 5.  Catches ``d2`` read from the channel's entry cell instead
+        of its exit, which adds the channel length to every ``d2``."""
+        inst, meta = corpus_compiled["two-clause-sat"]
+        lying = dataclasses.replace(meta, channel_length=meta.channel_length + 1)
+        report = verify_construction(inst, lying)
+        assert failures(report)["channel-routes-equal-length"] == (
+            "agent 1 via channel 1: 8+11+13 != 31; agent 1 via channel 2: 10+11+11 != 31; "
+            "agent 2 via channel 1: 8+11+13 != 31; agent 2 via channel 2: 10+11+11 != 31"
+        )
+
+    def test_staircase_bypass_fails_no_channel_bypass(self, corpus_compiled):
+        """Check 6.  A staircase of free cells, beside channel 2 and down to
+        row 28, lets the positive agent 1 reach its target without a channel;
+        the negative agent 2 cannot climb it.  Catches one of a clause's
+        channels left unblocked, which lets agent 2 bypass as well."""
+        inst, meta = corpus_compiled["two-clause-sat"]
+        w = inst.grid.width
+        free = bytearray(inst.grid.free)
+        for col, rows in ((3, range(4, 16)), (4, range(15, 28))):
+            for row in rows:
+                free[row * w + col] = 1
+        grid = GridMap.from_mask(w, inst.grid.height, free)
+        report = verify_construction(Instance(grid, inst.agents, inst.directions), meta)
+        assert failures(report) == {"no-channel-bypass": "agent 1 can bypass its channels"}
+
+    def test_goal_out_of_monotone_reach_fails_two_directions(self, corpus_compiled):
+        """Check 8.  No down or right move reaches agent 1's moved target,
+        five moves in four directions do.  Catches ``d_free = d_sign``
+        without the four-direction search."""
+        inst, meta = corpus_compiled["two-clause-sat"]
+        report = verify_construction(goal_above_start(inst), meta)
+        assert failures(report) == {
+            "channel-routes-equal-length": "agent 1 cannot reach its target",
+            "two-directions-suffice": "agent 1: unrestricted distance 5 beats two-direction None",
+        }
 
 
 class TestRealizeAndExtract:
@@ -263,6 +316,24 @@ class TestMakespanVariant:
         for agent, orig in zip(mk.agents, inst.agents):
             assert agent.goal.col - orig.goal.col == d - dists[agent.id]
             assert agent.goal.row == orig.goal.row
+
+    @pytest.mark.parametrize("hack", ["goal", "directions"])
+    def test_distances_agree_with_shortest_dist_field(self, corpus_compiled, hack):
+        """Each agent's distance, read off its goal extension, is its exact
+        shortest distance under the instance's moves: on a base whose agent 1
+        cannot reach its target by down and right moves alone (the fallback
+        BFS), and on one that allows all four moves."""
+        inst, meta = corpus_compiled["two-clause-sat"]
+        if hack == "goal":
+            inst = goal_above_start(inst)
+            agent, sign = inst.agents[0], meta.sign_directions(Side.POSITIVE)
+            assert agent.start not in shortest_dist_field(inst.grid, agent.goal, sign)
+        else:
+            inst = Instance(inst.grid, inst.agents, FOUR_DIRECTIONS)
+        mk, mkmeta = makespan_variant(inst, meta)
+        for agent, orig in zip(mk.agents, inst.agents):
+            d = shortest_dist_field(inst.grid, orig.goal, inst.directions)[orig.start]
+            assert agent.goal.col - orig.goal.col == mkmeta.common_distance - d
 
     def test_base_instance_unchanged_when_equal(self):
         f = parse_formula("vars 1\nclause 1 + 1\n")
