@@ -11,6 +11,7 @@ origin at the top-left.  "Up" therefore means ``row - 1``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -389,15 +390,14 @@ class _GridKernel:
             # (id offset, column step); a row step off the grid leaves 0..n-1.
             steps = [(sign * (dr * w + dc), sign * dc) for dc, dr in dirs._steps]
             table = [()] * n
-            for cid in range(n):
-                if free[cid]:
-                    col = cid % w
-                    near = []
-                    for off, dc in steps:
-                        nxt = cid + off
-                        if 0 <= col + dc < w and 0 <= nxt < n and free[nxt]:
-                            near.append(nxt)
-                    table[cid] = tuple(near)
+            for cid in itertools.compress(range(n), free):
+                col = cid % w
+                near = []
+                for off, dc in steps:
+                    nxt = cid + off
+                    if 0 <= col + dc < w and 0 <= nxt < n and free[nxt]:
+                        near.append(nxt)
+                table[cid] = tuple(near)
             self._tables[key] = table
         return table
 
@@ -430,6 +430,43 @@ class _GridKernel:
             dist[cid] = -2
         if dist[start] == -1:
             _bfs(table, start, dist)
+        return dist
+
+    def dist_to_near(
+        self, start: int, goal: int, dirs: DirectionSet, bound: Optional[int] = None
+    ) -> list[int]:
+        """``dist_to(goal)``, exact on the cells that a path from ``start`` of at
+        most ``bound`` moves (by default, a shortest one) can use, elsewhere
+        negative or above it, and negative everywhere without such a path: an
+        A* under the Manhattan distance closes those cells, then a reverse BFS
+        from ``goal`` runs on the cells it reached.  Not memoized."""
+        table, w = self.neighbours(dirs), self.width
+        gcol, grow = goal % w, goal // w
+        dist = [-2] * len(self.free)  # g once reached, -1 once closed
+        dist[start] = 0
+        f = abs(start % w - gcol) + abs(start // w - grow)
+        # A move changes f by 0 or 2, so one list per f-layer replaces a heap.
+        layer, later = [start], []
+        while layer and (bound is None or f <= bound):
+            for cid in layer:
+                g = dist[cid]
+                if g < 0:
+                    continue  # reached again in a lower layer and closed there
+                dist[cid] = -1
+                if cid == goal and bound is None:
+                    bound = f
+                h, g = f - g, g + 1
+                for nxt in table[cid]:
+                    if dist[nxt] == -2 or dist[nxt] > g:
+                        dist[nxt] = g
+                        nearer = abs(nxt % w - gcol) + abs(nxt // w - grow) < h
+                        (layer if nearer else later).append(nxt)
+            layer, later, f = later, [], f + 2
+        if dist[goal] != -1:
+            return [-1] * len(dist)
+        for cid in layer:  # reached, not closed: searched backwards all the same
+            dist[cid] = -1
+        _bfs(self.neighbours(dirs, True), goal, dist)
         return dist
 
 

@@ -93,11 +93,20 @@ class _BudgetClock:
 class _Compiled:
     """Instance lowered to integer cell ids with per-agent distance data.
 
-    Takes the kernel of the instance's grid, so that callers deciding many
-    instances on one grid share its neighbour tables and goal fields.
+    Goal fields are exact where a path of at most ``bound`` moves from the
+    agent's start (by default, a shortest one) can go, which is all that a
+    search within the bound reads.  With ``full`` they are the kernel's
+    memoized fields, exact everywhere, for the flowtime A* and for callers
+    that pass the kernel of one grid to decide many instances on it.
     """
 
-    def __init__(self, instance: Instance, kernel: Optional[_GridKernel] = None) -> None:
+    def __init__(
+        self,
+        instance: Instance,
+        kernel: Optional[_GridKernel] = None,
+        bound: Optional[int] = None,
+        full: bool = False,
+    ) -> None:
         kernel = kernel or _GridKernel(instance.grid)
         dirs = instance.directions
         self.instance = instance
@@ -105,7 +114,10 @@ class _Compiled:
         self.nbr = kernel.neighbours(dirs)
         self.starts = tuple(kernel.cid(a.start) for a in instance.agents)
         self.goals = tuple(kernel.cid(a.goal) for a in instance.agents)
-        self.dist = [kernel.dist_to(goal, dirs) for goal in self.goals]
+        self.dist = [
+            kernel.dist_to(g, dirs) if full else kernel.dist_to_near(s, g, dirs, bound)
+            for s, g in zip(self.starts, self.goals)
+        ]
 
     @property
     def lower_bound(self) -> Optional[int]:
@@ -308,7 +320,7 @@ def exists_makespan_at_most(
     may stay put only on its goal, and then stays there for good: it is
     parked, a static obstacle recorded in the state.
     """
-    return _makespan_at_most(_Compiled(instance), bound, model, _BudgetClock(budget))
+    return _makespan_at_most(_Compiled(instance, bound=bound), bound, model, _BudgetClock(budget))
 
 
 def _makespan_at_most(
@@ -389,7 +401,7 @@ def optimal_flowtime(
     first: its YES is exact at the lower bound.  Raises ``NoSolutionError``
     when the instance has no feasible solution.
     """
-    return _optimal_flowtime(_Compiled(instance), model, _BudgetClock(budget))
+    return _optimal_flowtime(_Compiled(instance, full=True), model, _BudgetClock(budget))
 
 
 def _optimal_flowtime(
@@ -477,7 +489,7 @@ def delta(
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> int:
     """Optimal flowtime minus the sum of individually optimal path lengths."""
-    comp = _Compiled(instance)
+    comp = _Compiled(instance, full=True)
     cost, _ = _optimal_flowtime(comp, model, _BudgetClock(budget))  # raises if a goal is out of reach
     return cost - comp.lower_bound
 
@@ -547,7 +559,7 @@ def two_colored_decide(
         spent = max(lengths, default=0) if objective == "makespan" else sum(lengths)
         if min(lengths, default=0) < 0 or spent > bound:
             continue
-        comp = _Compiled(relabel_with_assignment(instance, assignment), kernel)
+        comp = _Compiled(relabel_with_assignment(instance, assignment), kernel, full=True)
         if objective == "makespan":
             witness = _makespan_at_most(comp, bound, model, clock)
         elif spent == bound:

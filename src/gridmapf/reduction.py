@@ -750,8 +750,9 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
                 seen[d] = c.id
     checks.append(CheckResult("unique-opening-distances", not problems, "; ".join(problems)))
 
-    # 2. channels all have length L and identical row spans
+    # 2. channels all have length L, identical row spans and free interiors
     problems = []
+    blocked = {ch: next((x for x in ch.cells() if not grid.is_free(x)), None) for ch in meta.channels}
     spans = {(ch.top_row, ch.bottom_row) for ch in meta.channels}
     if len(spans) > 1:
         problems.append(f"channel row spans differ: {sorted(spans)}")
@@ -760,10 +761,8 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
             problems.append(
                 f"channel {ch.var} has length {ch.length}, expected {meta.channel_length}"
             )
-        for cell in ch.cells():
-            if not grid.is_free(cell):
-                problems.append(f"channel {ch.var} cell {cell} is not free")
-                break
+        if blocked[ch] is not None:
+            problems.append(f"channel {ch.var} cell {blocked[ch]} is not free")
     checks.append(CheckResult("channel-geometry", not problems, "; ".join(problems)))
 
     # 3. every channel-entry distance is at most L
@@ -804,7 +803,7 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
                     break
     checks.append(CheckResult("opening-dominates", not problems, "; ".join(problems)))
 
-    # 5. a route through every clause variable's channel, all equal length
+    # 5. a crossable route through every clause variable's channel, all equal length
     problems = []
     for c in clauses:
         agent, dirs = agents[c.id], meta.sign_directions(c.side)
@@ -822,7 +821,9 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
             d2 = None
             if grid.is_free(exit_):
                 d2 = at(kernel.dist_from_avoiding(kernel.cid(exit_), dirs, ()), agent.goal)
-            if d1 is None or d2 is None:
+            if blocked[ch] is not None:
+                problems.append(f"agent {c.id} cannot cross channel {v} at {blocked[ch]}")
+            elif d1 is None or d2 is None:
                 problems.append(f"agent {c.id} has no route through channel {v}")
             elif d1 + meta.channel_length + d2 != total:
                 problems.append(

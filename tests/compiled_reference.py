@@ -1,0 +1,46 @@
+"""Full-field oracle tables, kept as the differential reference.
+
+Before goal fields were bounded by each search's own bound, every oracle
+lowered its instance with one reverse BFS per goal over the whole
+component the goal is reached from, exact on every cell.  This is that
+``oracle._Compiled``; it ignores the bound that the library's takes.
+Swapped in for the library's, it must leave every decision, candidate
+list and witness of the bounded searches as it was.
+"""
+
+from gridmapf.core import _GridKernel
+from gridmapf.oracle import _joint_moves
+
+
+class ReferenceCompiled:
+    """Instance lowered to integer cell ids with exact goal fields everywhere."""
+
+    def __init__(self, instance, kernel=None, bound=None, full=False):
+        kernel = kernel or _GridKernel(instance.grid)
+        dirs = instance.directions
+        self.instance = instance
+        self.cell = kernel.cell
+        self.nbr = kernel.neighbours(dirs)
+        self.starts = tuple(kernel.cid(a.start) for a in instance.agents)
+        self.goals = tuple(kernel.cid(a.goal) for a in instance.agents)
+        self.dist = [kernel.dist_to(goal, dirs) for goal in self.goals]
+
+    @property
+    def lower_bound(self):
+        """Sum of the agents' goal distances, or None if a goal is out of reach."""
+        lengths = [dist[start] for dist, start in zip(self.dist, self.starts)]
+        return None if min(lengths, default=0) < 0 else sum(lengths)
+
+    def descent_moves(self, cur, model):
+        """Every conflict-free joint move in which each unfinished agent steps
+        one cell closer to its goal and each finished agent rests there."""
+        active, choices, static_cells = [], [], set()
+        for i, (here, goal) in enumerate(zip(cur, self.goals)):
+            if here == goal:
+                static_cells.add(here)
+                continue
+            dist = self.dist[i]
+            want = dist[here] - 1
+            active.append(i)
+            choices.append([c for c in self.nbr[here] if dist[c] == want])
+        return _joint_moves(cur, active, choices, static_cells, model)

@@ -5,7 +5,9 @@ reverse BFS from every agent's goal under its sign's two directions
 (checks 5 and 8), a reverse BFS from the goal with the clause's channels
 blocked (check 6), and a four-direction reverse BFS from every goal
 (check 8), each over the whole corridor component.  Its report texts,
-failing ones included, are what the library must still produce.
+failing ones included, are what the library must still produce.  Check 5
+also asks, as the library's does, that every interior cell of a channel
+be free, so that a route it counts can cross the channel.
 """
 
 from gridmapf.core import FOUR_DIRECTIONS, _bfs, _GridKernel
@@ -127,7 +129,7 @@ def reference_verify_construction(instance, meta):
                     break
     checks.append(CheckResult("opening-dominates", not problems, "; ".join(problems)))
 
-    # 5. a route through every clause variable's channel, all equal length
+    # 5. a crossable route through every clause variable's channel, all equal length
     problems = []
     for c in clauses:
         agent = agents[c.id]
@@ -140,6 +142,10 @@ def reference_verify_construction(instance, meta):
             ch = meta.channel_by_var(v)
             if ch is None:
                 problems.append(f"variable {v} has no channel")
+                continue
+            blocked = next((cell for cell in ch.cells() if not grid.is_free(cell)), None)
+            if blocked is not None:
+                problems.append(f"agent {c.id} cannot cross channel {v} at {blocked}")
                 continue
             d1 = entry[(c.id, v)]
             d2 = at(to_goal, meta.exit_cell(c.side, ch))

@@ -24,7 +24,7 @@ from gridmapf.oracle import (
 
 def reference_optimal_flowtime(instance, model=VERTEX_EDGE, budget=DEFAULT_BUDGET):
     """Exact minimum flowtime and a witness, by A* over (positions, finished mask)."""
-    comp = _Compiled(instance)
+    comp = _Compiled(instance, full=True)
     clock = _BudgetClock(budget)
     n = len(comp.starts)
     if n == 0:

@@ -1,0 +1,131 @@
+"""Bounded oracle goal fields against the full-field reference.
+
+``oracle._Compiled`` builds each agent's goal field only on the cells that
+a path meeting the search's bound can use.  With the full-field
+``compiled_reference.ReferenceCompiled`` swapped in, every decision, every
+enumerated solution and every witness must stay the same, budget
+exhaustion included, on instances whose walls force detours of several
+f-layers and whose goals may be out of reach.
+"""
+
+from collections import Counter
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from compiled_reference import ReferenceCompiled
+from gridmapf import oracle
+from gridmapf.core import (
+    DOWN_RIGHT,
+    FOUR_DIRECTIONS,
+    THREE_DIRECTIONS,
+    AgentTask,
+    Cell,
+    DirectionSet,
+    GridMap,
+    Instance,
+    _GridKernel,
+)
+from gridmapf.oracle import (
+    BudgetExceededError,
+    SearchBudget,
+    enumerate_individually_optimal,
+    exists_individually_optimal,
+    exists_makespan_at_most,
+)
+from test_oracle import ALL_MODELS
+
+BUDGET = SearchBudget(max_states=300)
+
+
+@st.composite
+def walled_instances(draw):
+    """Up to three agents on grids of 3-6 columns and 5-6 rows, with a few
+    obstacles, under down+right, up+down+right or all four moves, with or
+    without waits.  Half of them also get a wall down one column, open in
+    the top or bottom row only, and a first agent that starts left of it and
+    ends right of it, both at least two rows from the opening: going round
+    costs at least 4 moves over the Manhattan distance, two f-layers, and
+    down+right moves never get round."""
+    width, height = draw(st.integers(3, 6)), draw(st.integers(5, 6))
+    cells = [Cell(c, r) for r in range(height) for c in range(width)]
+    obstacles = set(draw(st.sets(st.sampled_from(cells), max_size=4)))
+    tasks = []
+    if draw(st.booleans()):
+        col = draw(st.integers(1, width - 2))
+        gap = draw(st.sampled_from((0, height - 1)))
+        obstacles |= {Cell(col, r) for r in range(height) if r != gap}
+        rows = [r for r in range(height) if abs(r - gap) >= 2]
+        tasks.append((Cell(col - 1, draw(st.sampled_from(rows))), Cell(col + 1, draw(st.sampled_from(rows)))))
+        obstacles -= set(tasks[0])
+    free = [c for c in cells if c not in obstacles]
+    starts = [c for c in draw(st.permutations(free)) if c not in {t[0] for t in tasks}]
+    goals = [c for c in draw(st.permutations(free)) if c not in {t[1] for t in tasks}]
+    extra = draw(st.integers(0 if tasks else 1, 3 - len(tasks)))
+    tasks += list(zip(starts, goals))[:extra]
+    dirs = draw(st.sampled_from((DOWN_RIGHT, THREE_DIRECTIONS, FOUR_DIRECTIONS)))
+    return Instance(
+        GridMap(width, height, frozenset(obstacles)),
+        tuple(AgentTask(i, s, g) for i, (s, g) in enumerate(tasks)),
+        DirectionSet(dirs.moves, waits_allowed=draw(st.booleans())),
+    )
+
+
+def outcome(search, *args):
+    try:
+        return search(*args)
+    except BudgetExceededError:
+        return "budget exhausted"
+
+
+def every_answer(inst, bounds):
+    out = []
+    for model in ALL_MODELS:
+        out.append(outcome(exists_individually_optimal, inst, model, BUDGET))
+        out.append(outcome(enumerate_individually_optimal, inst, model, 50, BUDGET))
+        out += [outcome(exists_makespan_at_most, inst, b, model, BUDGET) for b in bounds]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(walled_instances())
+def test_answers_match_full_fields(inst):
+    kernel = _GridKernel(inst.grid)
+    lengths = [
+        kernel.dist_to(kernel.cid(a.goal), inst.directions)[kernel.cid(a.start)]
+        for a in inst.agents
+    ]
+    d = max(lengths)
+    bounds = (d - 1, d, d + 1, d + 3)
+    bounded = every_answer(inst, bounds)
+    with mock.patch.object(oracle, "_Compiled", ReferenceCompiled):
+        assert bounded == every_answer(inst, bounds)
+
+
+def test_unreachable_goal_closes_each_cell_once(monkeypatch):
+    """A walled-off goal on a 300x300 grid: the A* of the goal field closes
+    every cell of the start's component once, then stops."""
+    blocked = {Cell(298, 299), Cell(299, 298)}
+    inst = Instance(
+        GridMap(300, 300, frozenset(blocked)),
+        (AgentTask(0, Cell(0, 0), Cell(299, 299)),),
+        FOUR_DIRECTIONS,
+    )
+    expanded = Counter()
+
+    class CountingTable(list):
+        def __getitem__(self, cid):
+            expanded[cid] += 1
+            return super().__getitem__(cid)
+
+    neighbours = _GridKernel.neighbours
+
+    def counting(kernel, dirs, reverse=False):
+        table = neighbours(kernel, dirs, reverse)
+        return table if reverse else CountingTable(table)
+
+    monkeypatch.setattr(_GridKernel, "neighbours", counting)
+    assert not exists_individually_optimal(inst).decision
+    assert len(expanded) == 300 * 300 - 3
+    assert max(expanded.values()) == 1

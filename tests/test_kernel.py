@@ -101,6 +101,39 @@ def test_blocked_ids_act_as_obstacles(grid, dirs, data):
         assert as_cells(kernel, memo[start]) == reference_bfs(grid, start, forward(dirs))
 
 
+@st.composite
+def walled_grids(draw):
+    """3-6 columns and 5-6 rows, with a wall down one column that is open in
+    the top or bottom row only: a path across it detours by up to 2(rows-1)."""
+    width, height = draw(st.integers(3, 6)), draw(st.integers(5, 6))
+    col = draw(st.integers(1, width - 2))
+    gap = draw(st.sampled_from((0, height - 1)))
+    return GridMap(width, height, frozenset(Cell(col, r) for r in range(height) if r != gap))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(grids(), walled_grids()), st.sampled_from(DIRECTION_SETS), st.data())
+def test_near_goal_fields_are_exact_within_the_bound(grid, dirs, data):
+    free = list(grid.free_cells())
+    start, goal = data.draw(st.sampled_from(free)), data.draw(st.sampled_from(free))
+    from_start = reference_bfs(grid, start, forward(dirs))
+    to_goal = reference_bfs(grid, goal, backward(dirs))
+    d = to_goal.get(start)
+    kernel = _GridKernel(grid)
+    for bound in (None, 0, 4) if d is None else (None, d - 1, d, d + 1, d + 3):
+        field = kernel.dist_to_near(kernel.cid(start), kernel.cid(goal), dirs, bound)
+        limit = d if bound is None else bound
+        if d is None or d > limit:
+            assert max(field) < 0
+            continue
+        for cell in free:
+            got, true = field[kernel.cid(cell)], to_goal.get(cell)
+            if cell in from_start and true is not None and from_start[cell] + true <= limit:
+                assert got == true, (cell, bound)
+            elif got >= 0:  # a real path, never shorter than the shortest
+                assert true is not None and got >= true, (cell, bound)
+
+
 @settings(max_examples=30, deadline=None)
 @given(grids(), st.sampled_from(DIRECTION_SETS))
 def test_shortest_dist_field_returns_a_new_mapping(grid, dirs):

@@ -185,9 +185,14 @@ class TestVerifyConstruction:
         )
         hacked = Instance(grid, inst.agents, inst.directions)
         report = verify_construction(hacked, meta)
-        # The routes through channel 2 still have the right lengths, so the
-        # geometry check is the one that sees the blocked cell.
-        assert failures(report) == {"channel-geometry": f"channel 1 cell {mid} is not free"}
+        # The distances to the channel's entry and from its exit are as
+        # before, so only the crossing itself shows the blocked cell.
+        assert failures(report) == {
+            "channel-geometry": f"channel 1 cell {mid} is not free",
+            "channel-routes-equal-length": (
+                f"agent 1 cannot cross channel 1 at {mid}; agent 2 cannot cross channel 1 at {mid}"
+            ),
+        }
 
     def test_channel_length_lie_fails_route_lengths(self, corpus_compiled):
         """Check 5.  Catches ``d2`` read from the channel's entry cell instead

@@ -174,9 +174,9 @@ def test_bijections_out_of_reach_are_never_built(monkeypatch):
     builds = []
 
     class CountingCompiled(oracle._Compiled):
-        def __init__(self, *args):
+        def __init__(self, *args, **kwargs):
             builds.append(args[0])
-            super().__init__(*args)
+            super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "_Compiled", CountingCompiled)
     targets = [Cell(3, row) for row in range(3)]
