@@ -11,7 +11,6 @@ origin at the top-left.  "Up" therefore means ``row - 1``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -351,63 +350,56 @@ class ConflictReport:
 
 
 class _GridKernel:
-    """A grid lowered to row-major integer cell ids, ``row * width + col``.
+    """A grid lowered to framed cell ids, ``(row + 1) * stride + col``.
 
-    Holds a ``bytearray`` free mask, neighbour tuples built once per
-    direction set, and BFS distance fields over the ids (negative where
-    unreached).  Fields are memoized, shared with callers, who must not
+    The stride is ``width + 1``: a blocked column closes each row, and a
+    blocked row lies above the grid and another below it, so each move is
+    a fixed id offset (``steps``) that needs no bounds check and never
+    wraps into the next row.  Ids grow with (row, col).  Holds the free
+    mask over the framed ids and BFS fields over them, negative where
+    unreached.  Fields are memoized, shared with callers, who must not
     mutate them, and dropped with the kernel, which lives for one public
     call only, so no field stays resident between calls.
     """
 
     def __init__(self, grid: GridMap) -> None:
-        self.width, self.height = grid.width, grid.height
-        self.free = bytearray(grid.free)
-        self._tables: dict[tuple[frozenset[Direction], bool], list[tuple[int, ...]]] = {}
+        w, h, mask = grid.width, grid.height, grid.free
+        self.width, self.height, self.stride = w, h, w + 1
+        rows = b"\x00".join(mask[r * w : (r + 1) * w] for r in range(h))
+        self.free = bytearray(w + 1) + rows + bytes(w + 2)
+        self._steps: dict[tuple[frozenset[Direction], bool], tuple[int, ...]] = {}
         self._fields: dict[tuple[frozenset[Direction], int, bool], tuple[list[int], list[int]]] = {}
 
     def cid(self, cell: Cell) -> int:
-        return cell.row * self.width + cell.col
+        return (cell.row + 1) * self.stride + cell.col
 
     def cell(self, cid: int) -> Cell:
-        return Cell(cid % self.width, cid // self.width)
+        return Cell(cid % self.stride, cid // self.stride - 1)
 
     def at(self, field: list[int], cell: Cell) -> Optional[int]:
         """The field's value at ``cell``; None off the grid or where unreached."""
         if not (0 <= cell.col < self.width and 0 <= cell.row < self.height):
             return None
-        d = field[cell.row * self.width + cell.col]
+        d = field[(cell.row + 1) * self.stride + cell.col]
         return d if d >= 0 else None
 
-    def neighbours(self, dirs: DirectionSet, reverse: bool = False) -> list[tuple[int, ...]]:
-        """Per cell id, the free ids one move away under ``dirs`` (or, with
-        ``reverse``, one move back), in canonical direction order."""
+    def steps(self, dirs: DirectionSet, reverse: bool = False) -> tuple[int, ...]:
+        """The id offset of each move in ``dirs`` (or, with ``reverse``, of
+        each move back), in canonical direction order; memoized, since on
+        small grids building them costs as much as a BFS."""
         key = (dirs.moves, reverse)
-        table = self._tables.get(key)
-        if table is None:
-            w, free, n = self.width, self.free, len(self.free)
-            sign = -1 if reverse else 1
-            # (id offset, column step); a row step off the grid leaves 0..n-1.
-            steps = [(sign * (dr * w + dc), sign * dc) for dc, dr in dirs._steps]
-            table = [()] * n
-            for cid in itertools.compress(range(n), free):
-                col = cid % w
-                near = []
-                for off, dc in steps:
-                    nxt = cid + off
-                    if 0 <= col + dc < w and 0 <= nxt < n and free[nxt]:
-                        near.append(nxt)
-                table[cid] = tuple(near)
-            self._tables[key] = table
-        return table
+        got = self._steps.get(key)
+        if got is None:
+            sign, s = -1 if reverse else 1, self.stride
+            got = self._steps[key] = tuple([sign * (dr * s + dc) for dc, dr in dirs._steps])
+        return got
 
     def _field(self, source: int, dirs: DirectionSet, reverse: bool) -> tuple[list[int], list[int]]:
         key = (dirs.moves, source, reverse)
         got = self._fields.get(key)
         if got is None:
-            table = self.neighbours(dirs, reverse)
-            dist = [-1] * len(table)
-            got = self._fields[key] = (dist, _bfs(table, source, dist))
+            dist = [-1] * len(self.free)
+            got = self._fields[key] = (dist, _bfs(self.free, self.steps(dirs, reverse), source, dist))
         return got
 
     def dist_to(self, goal: int, dirs: DirectionSet) -> list[int]:
@@ -424,12 +416,11 @@ class _GridKernel:
 
     def dist_from_avoiding(self, start: int, dirs: DirectionSet, blocked: Iterable[int]) -> list[int]:
         """``dist_from`` with the ``blocked`` ids treated as obstacles (not memoized)."""
-        table = self.neighbours(dirs)
-        dist = [-1] * len(table)
+        dist = [-1] * len(self.free)
         for cid in blocked:
             dist[cid] = -2
         if dist[start] == -1:
-            _bfs(table, start, dist)
+            _bfs(self.free, self.steps(dirs), start, dist)
         return dist
 
     def dist_to_near(
@@ -440,11 +431,12 @@ class _GridKernel:
         negative or above it, and negative everywhere without such a path: an
         A* under the Manhattan distance closes those cells, then a reverse BFS
         from ``goal`` runs on the cells it reached.  Not memoized."""
-        table, w = self.neighbours(dirs), self.width
-        gcol, grow = goal % w, goal // w
-        dist = [-2] * len(self.free)  # g once reached, -1 once closed
+        free, s = self.free, self.stride
+        steps = self.steps(dirs)
+        gcol, grow = goal % s, goal // s
+        dist = [-2] * len(free)  # g once reached, -1 once closed
         dist[start] = 0
-        f = abs(start % w - gcol) + abs(start // w - grow)
+        f = abs(start % s - gcol) + abs(start // s - grow)
         # A move changes f by 0 or 2, so one list per f-layer replaces a heap.
         layer, later = [start], []
         while layer and (bound is None or f <= bound):
@@ -456,29 +448,35 @@ class _GridKernel:
                 if cid == goal and bound is None:
                     bound = f
                 h, g = f - g, g + 1
-                for nxt in table[cid]:
-                    if dist[nxt] == -2 or dist[nxt] > g:
+                for off in steps:
+                    nxt = cid + off
+                    if free[nxt] and (dist[nxt] == -2 or dist[nxt] > g):
                         dist[nxt] = g
-                        nearer = abs(nxt % w - gcol) + abs(nxt // w - grow) < h
+                        nearer = abs(nxt % s - gcol) + abs(nxt // s - grow) < h
                         (layer if nearer else later).append(nxt)
             layer, later, f = later, [], f + 2
         if dist[goal] != -1:
             return [-1] * len(dist)
         for cid in layer:  # reached, not closed: searched backwards all the same
             dist[cid] = -1
-        _bfs(self.neighbours(dirs, True), goal, dist)
+        _bfs(free, self.steps(dirs, True), goal, dist)
         return dist
 
 
-def _bfs(table: list[tuple[int, ...]], source: int, dist: list[int]) -> list[int]:
-    """Breadth-first search from ``source`` over ``table``, writing move counts
-    into the entries of ``dist`` that hold -1; returns the ids reached in order."""
+def _bfs(free: bytearray, steps: tuple[int, ...], source: int, dist: list[int]) -> list[int]:
+    """Breadth-first search from ``source`` over the framed ids that ``free``
+    marks, one ``steps`` offset per move, writing move counts into the
+    entries of ``dist`` that hold -1; returns the ids reached in order.  A
+    blocked source reaches nothing but itself."""
     dist[source] = 0
     order = [source]
+    if not free[source]:
+        return order
     for cur in order:
         d = dist[cur] + 1
-        for nxt in table[cur]:
-            if dist[nxt] == -1:
+        for off in steps:
+            nxt = cur + off
+            if dist[nxt] == -1 and free[nxt]:
                 dist[nxt] = d
                 order.append(nxt)
     return order
@@ -683,7 +681,8 @@ def lower_bound_cost(instance: Instance) -> Optional[int]:
     kernel = _GridKernel(instance.grid)
     total = 0
     for agent in instance.agents:
-        d = kernel.dist_to(kernel.cid(agent.goal), instance.directions)[kernel.cid(agent.start)]
+        start = kernel.cid(agent.start)
+        d = kernel.dist_to_near(start, kernel.cid(agent.goal), instance.directions)[start]
         if d < 0:
             return None
         total += d

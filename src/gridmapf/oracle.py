@@ -111,7 +111,7 @@ class _Compiled:
         dirs = instance.directions
         self.instance = instance
         self.cell = kernel.cell
-        self.nbr = kernel.neighbours(dirs)
+        self.steps = kernel.steps(dirs)
         self.starts = tuple(kernel.cid(a.start) for a in instance.agents)
         self.goals = tuple(kernel.cid(a.goal) for a in instance.agents)
         self.dist = [
@@ -138,7 +138,7 @@ class _Compiled:
             dist = self.dist[i]
             want = dist[here] - 1
             active.append(i)
-            choices.append([c for c in self.nbr[here] if dist[c] == want])
+            choices.append([c for off in self.steps if dist[c := here + off] == want])
         return _joint_moves(cur, active, choices, static_cells, model)
 
 
@@ -335,7 +335,7 @@ def _makespan_at_most(
             return Witness(False, None)
 
     goals = comp.goals
-    nbr = comp.nbr
+    steps = comp.steps
     dist = comp.dist
     waits = comp.instance.directions.waits_allowed
     # (positions, time, parked mask); the mask stays 0 when waits are allowed
@@ -362,9 +362,7 @@ def _makespan_at_most(
             here = cur[i]
             d = dist[i]
             opts = [here] if (waits or here == goals[i]) and d[here] <= remaining else []
-            for c in nbr[here]:
-                if 0 <= d[c] <= remaining:
-                    opts.append(c)
+            opts += [c for off in steps if 0 <= d[c := here + off] <= remaining]
             if not opts:
                 break
             active.append(i)
@@ -419,7 +417,7 @@ def _optimal_flowtime(
         return comp.lower_bound, descent.solution
 
     goals = comp.goals
-    nbr = comp.nbr
+    steps = comp.steps
     dist = comp.dist
     waits = comp.instance.directions.waits_allowed
     all_mask = (1 << n) - 1
@@ -450,7 +448,8 @@ def _optimal_flowtime(
         static_cells = frozenset(cur[i] for i in range(n) if mask & (1 << i))
         # a cell from which the goal is out of reach leads only to such cells
         choices = [
-            ((cur[i],) if waits else ()) + tuple(c for c in nbr[cur[i]] if dist[i][c] >= 0)
+            ((cur[i],) if waits else ())
+            + tuple(c for off in steps if dist[i][c := cur[i] + off] >= 0)
             for i in active
         ]
         for nxt in clock.paced(_joint_moves(cur, active, choices, static_cells, model)):
@@ -592,7 +591,7 @@ def _team_descent(
     live cost exceed the bound.
     """
     dirs = instance.directions
-    nbr = kernel.neighbours(dirs)
+    steps = kernel.steps(dirs)
     starts = tuple(kernel.cid(a.start) for a in instance.agents)
     n = len(starts)
     # per agent, (distance field, cost from the start) of each team target it reaches
@@ -625,7 +624,8 @@ def _team_descent(
             arrived = arrived and left == 0
             # staying finishes the agent, on a live target no finished agent holds
             opts = [here] if left == 0 and here not in static_cells else []
-            for c in nbr[here]:
+            for off in steps:
+                c = here + off
                 for f in live:
                     if 0 <= f[c] == f[here] - 1:
                         opts.append(c)

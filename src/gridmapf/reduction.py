@@ -642,8 +642,9 @@ def _walk(kernel: _GridKernel, dirs: DirectionSet, a: Cell, b: Cell) -> list[Cel
     if dist[cur] < 0:
         raise LayoutError(f"no route {a} -> {b}")
     cells = [a]
+    steps = kernel.steps(dirs)
     while dist[cur] > 0:
-        cur = next(n for n in kernel.neighbours(dirs)[cur] if dist[n] == dist[cur] - 1)
+        cur = next(n for off in steps if dist[n := cur + off] == dist[cur] - 1)
         cells.append(kernel.cell(cur))
     return cells
 

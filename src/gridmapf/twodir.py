@@ -136,25 +136,25 @@ def plan_monotone_path(
         if grid.in_bounds(cell):
             kernel.free[kernel.cid(cell)] = 0
     path = _monotone_ids(
-        kernel.free, grid.width, kernel.cid(start), kernel.cid(goal), right_first, stats
+        kernel.free, kernel.stride, kernel.cid(start), kernel.cid(goal), right_first, stats
     )
     return None if path is None else MonotonePath(tuple(map(kernel.cell, path)))
 
 
 def _monotone_ids(
     free: bytearray,
-    width: int,
+    stride: int,
     start: int,
     goal: int,
     right_first: bool,
     stats: Optional[SolverStats],
 ) -> Optional[list[int]]:
-    """``plan_monotone_path`` over row-major cell ids: ``free[cid]`` is 0 for
-    cells the path may not enter, a right move adds 1 and a down move adds
-    ``width``.  Dead ends are zeroed in ``free`` during the search and set
+    """``plan_monotone_path`` over the kernel's framed cell ids: ``free[cid]``
+    is 0 for cells the path may not enter, a right move adds 1 and a down
+    move adds ``stride``.  Dead ends are zeroed in ``free`` during the search and set
     back to 1 before it returns."""
-    goal_col = goal % width
-    if goal_col < start % width or goal < start or not (free[start] and free[goal]):
+    goal_col = goal % stride
+    if goal_col < start % stride or goal < start or not (free[start] and free[goal]):
         return None
     right = 0 if right_first else 1  # the try, first or second, that goes right
     # tried[i]: moves tried at path[i] when path[i + 1] was entered.
@@ -166,9 +166,9 @@ def _monotone_ids(
         nxt = -1
         while nxt < 0 and k < 2:
             if k == right:
-                nxt = cur + 1 if cur % width < goal_col and free[cur + 1] else -1
+                nxt = cur + 1 if cur % stride < goal_col and free[cur + 1] else -1
             else:
-                nxt = cur + width if cur + width <= goal and free[cur + width] else -1
+                nxt = cur + stride if cur + stride <= goal and free[cur + stride] else -1
             k += 1
         if nxt >= 0:
             path.append(nxt)
@@ -218,12 +218,12 @@ def solve_two_dir(
     # The kernel is local, so its free mask doubles as the planner's: it
     # also bars the group's planned paths and earlier groups' goals.
     kernel = _GridKernel(instance.grid)
-    free, width = kernel.free, kernel.width
+    free, stride = kernel.free, kernel.stride
     found: dict[int, list[int]] = {}
     for group in partition_diagonals(instance):
         for agent in group:
             path = _monotone_ids(
-                free, width, kernel.cid(agent.start), kernel.cid(agent.goal), right_first, stats
+                free, stride, kernel.cid(agent.start), kernel.cid(agent.goal), right_first, stats
             )
             if path is None:
                 return None

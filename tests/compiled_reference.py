@@ -3,24 +3,29 @@
 Before goal fields were bounded by each search's own bound, every oracle
 lowered its instance with one reverse BFS per goal over the whole
 component the goal is reached from, exact on every cell.  This is that
-``oracle._Compiled``; it ignores the bound that the library's takes.
+``oracle._Compiled``; it ignores the kernel and the bound that the
+library's takes, and builds its own kernel on the same cell ids.
 Swapped in for the library's, it must leave every decision, candidate
-list and witness of the bounded searches as it was.
+list and witness of the bounded searches as it was.  Its fields and its
+own moves come from the neighbour tables of ``kernel_reference``; it
+also hands the library's searches the kernel's move offsets, which they
+read in place of table rows.
 """
 
-from gridmapf.core import _GridKernel
 from gridmapf.oracle import _joint_moves
+from kernel_reference import TableKernel
 
 
 class ReferenceCompiled:
     """Instance lowered to integer cell ids with exact goal fields everywhere."""
 
     def __init__(self, instance, kernel=None, bound=None, full=False):
-        kernel = kernel or _GridKernel(instance.grid)
+        kernel = TableKernel(instance.grid)
         dirs = instance.directions
         self.instance = instance
         self.cell = kernel.cell
         self.nbr = kernel.neighbours(dirs)
+        self.steps = kernel.steps(dirs)
         self.starts = tuple(kernel.cid(a.start) for a in instance.agents)
         self.goals = tuple(kernel.cid(a.goal) for a in instance.agents)
         self.dist = [kernel.dist_to(goal, dirs) for goal in self.goals]

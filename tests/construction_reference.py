@@ -7,24 +7,14 @@ blocked (check 6), and a four-direction reverse BFS from every goal
 (check 8), each over the whole corridor component.  Its report texts,
 failing ones included, are what the library must still produce.  Check 5
 also asks, as the library's does, that every interior cell of a channel
-be free, so that a route it counts can cross the channel.
+be free, so that a route it counts can cross the channel.  Its fields
+come from the neighbour tables of ``kernel_reference.TableKernel``.
 """
 
-from gridmapf.core import FOUR_DIRECTIONS, _bfs, _GridKernel
+from gridmapf.core import FOUR_DIRECTIONS
 from gridmapf.formula import Side
 from gridmapf.reduction import CELL_BUDGET_FACTOR, CheckResult, ConstructionReport
-
-
-def dist_to_avoiding(kernel, goal, dirs, blocked):
-    """Move count from every cell to ``goal`` under ``dirs``, with the
-    ``blocked`` ids treated as obstacles (negative where unreached)."""
-    table = kernel.neighbours(dirs, reverse=True)
-    dist = [-1] * len(table)
-    for cid in blocked:
-        dist[cid] = -2
-    if dist[goal] == -1:
-        _bfs(table, goal, dist)
-    return dist
+from kernel_reference import TableKernel
 
 
 def entry_distances(kernel, instance, meta):
@@ -47,7 +37,7 @@ def reference_verify_construction(instance, meta):
     agents = {a.id: a for a in instance.agents}
     clauses = meta.formula.clauses
     grid = instance.grid
-    kernel = _GridKernel(grid)
+    kernel = TableKernel(grid)
     at = kernel.at
 
     def start_field(c):
@@ -166,8 +156,8 @@ def reference_verify_construction(instance, meta):
             ch = meta.channel_by_var(v)
             if ch is not None:
                 blocked += [kernel.cid(cell) for cell in ch.cells() if grid.in_bounds(cell)]
-        bypass = dist_to_avoiding(
-            kernel, kernel.cid(agent.goal), meta.sign_directions(c.side), blocked
+        bypass = kernel.dist_to_avoiding(
+            kernel.cid(agent.goal), meta.sign_directions(c.side), blocked
         )
         if bypass[kernel.cid(agent.start)] >= 0:
             problems.append(f"agent {c.id} can bypass its channels")
@@ -198,7 +188,7 @@ def reference_verify_construction(instance, meta):
     for c in clauses:
         start = agents[c.id].start
         goal = kernel.cid(agents[c.id].goal)
-        d_free = at(dist_to_avoiding(kernel, goal, FOUR_DIRECTIONS, ()), start)
+        d_free = at(kernel.dist_to_avoiding(goal, FOUR_DIRECTIONS, ()), start)
         d_sign = at(goal_field(c), start)
         if d_free != d_sign:
             problems.append(

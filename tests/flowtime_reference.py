@@ -11,12 +11,12 @@ wherever the strict-descent search answers NO.
 import heapq
 import itertools
 
+from compiled_reference import ReferenceCompiled
 from gridmapf.core import Solution, VERTEX_EDGE
 from gridmapf.oracle import (
     DEFAULT_BUDGET,
     NoSolutionError,
     _BudgetClock,
-    _Compiled,
     _joint_moves,
     _solution_from_states,
 )
@@ -24,7 +24,7 @@ from gridmapf.oracle import (
 
 def reference_optimal_flowtime(instance, model=VERTEX_EDGE, budget=DEFAULT_BUDGET):
     """Exact minimum flowtime and a witness, by A* over (positions, finished mask)."""
-    comp = _Compiled(instance, full=True)
+    comp = ReferenceCompiled(instance)
     clock = _BudgetClock(budget)
     n = len(comp.starts)
     if n == 0:

@@ -3,17 +3,23 @@
 import itertools
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridmapf.core import (
+    FOUR_DIRECTIONS,
     MOTION_DIRECTIONS,
+    AgentTask,
     Cell,
     DirectionSet,
     GridMap,
+    Instance,
     _GridKernel,
+    lower_bound_cost,
     shortest_dist_field,
 )
+from gridmapf.reduction import LayoutError, _walk
 
 #: Every non-empty subset of the four moves.
 DIRECTION_SETS = [
@@ -63,9 +69,7 @@ def grids(draw):
     return GridMap(width, height, frozenset(obstacles))
 
 
-@settings(max_examples=100, deadline=None)
-@given(grids(), st.sampled_from(DIRECTION_SETS))
-def test_fields_match_reference_bfs(grid, dirs):
+def assert_fields_match(grid, dirs):
     kernel = _GridKernel(grid)
     for cell in grid.free_cells():
         cid = kernel.cid(cell)
@@ -78,6 +82,66 @@ def test_fields_match_reference_bfs(grid, dirs):
         assert from_cell == as_cells(kernel, kernel.dist_to(cid, reversed_set(dirs)))
         # Same neighbour order as the reference, so the same visiting order.
         assert [kernel.cell(c) for c in kernel.reached_from(cid, dirs)] == list(reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids(), st.sampled_from(DIRECTION_SETS))
+def test_fields_match_reference_bfs(grid, dirs):
+    assert_fields_match(grid, dirs)
+
+
+def border_grid():
+    """5x4 with obstacles on all four borders, two of them in corners: a move
+    that wrapped across a row end, or left the grid and came back, would
+    reach cells the grid does not connect."""
+    obstacles = {Cell(0, 0), Cell(2, 0), Cell(4, 1), Cell(0, 2), Cell(3, 3), Cell(4, 3)}
+    return GridMap(5, 4, frozenset(obstacles))
+
+
+#: Grids at the edges of the frame: a single cell, a single row or column,
+#: with and without obstacles, and obstacles on every border.
+EDGE_GRIDS = [
+    GridMap(1, 1),
+    GridMap(1, 5),
+    GridMap(5, 1),
+    GridMap(1, 5, frozenset({Cell(0, 2)})),
+    GridMap(5, 1, frozenset({Cell(2, 0)})),
+    border_grid(),
+]
+
+
+@pytest.mark.parametrize("dirs", DIRECTION_SETS, ids=lambda d: d.letters)
+@pytest.mark.parametrize("grid", EDGE_GRIDS, ids=lambda g: f"{g.width}x{g.height}-{g.free_count}")
+def test_edge_grids_match_reference_bfs(grid, dirs):
+    assert_fields_match(grid, dirs)
+
+
+@pytest.mark.parametrize("dirs", DIRECTION_SETS, ids=lambda d: d.letters)
+def test_blocked_source_reaches_only_itself(dirs):
+    grid = border_grid()
+    kernel = _GridKernel(grid)
+    for cell in grid.obstacles:
+        cid = kernel.cid(cell)
+        for field in (
+            kernel.dist_from(cid, dirs),
+            kernel.dist_to(cid, dirs),
+            kernel.dist_from_avoiding(cid, dirs, ()),
+        ):
+            assert as_cells(kernel, field) == {cell: 0}
+        assert kernel.reached_from(cid, dirs) == [cid]
+
+
+def test_walk_into_a_blocked_cell_raises():
+    grid = border_grid()
+    kernel = _GridKernel(grid)
+    free = Cell(1, 1)
+    for blocked in sorted(grid.obstacles):
+        for a, b in ((free, blocked), (blocked, free)):
+            with pytest.raises(LayoutError):
+                _walk(kernel, FOUR_DIRECTIONS, a, b)
+    assert _walk(kernel, FOUR_DIRECTIONS, free, Cell(4, 0)) == [
+        Cell(1, 1), Cell(2, 1), Cell(3, 1), Cell(3, 0), Cell(4, 0)
+    ]
 
 
 @settings(max_examples=100, deadline=None)
@@ -145,3 +209,16 @@ def test_shortest_dist_field_returns_a_new_mapping(grid, dirs):
     second = shortest_dist_field(grid, goal, dirs)
     assert second is not first
     assert second == reference_bfs(grid, goal, backward(dirs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(grids(), walled_grids()), st.sampled_from(DIRECTION_SETS), st.data())
+def test_lower_bound_cost_is_the_sum_of_full_fields(grid, dirs, data):
+    free = list(grid.free_cells())
+    k = data.draw(st.integers(1, min(3, len(free))))
+    starts = data.draw(st.permutations(free))[:k]
+    goals = data.draw(st.permutations(free))[:k]
+    inst = Instance(grid, tuple(map(AgentTask, range(k), starts, goals)), dirs)
+    lengths = [reference_bfs(grid, g, backward(dirs)).get(s) for s, g in zip(starts, goals)]
+    expected = None if None in lengths else sum(lengths)
+    assert lower_bound_cost(inst) == expected
