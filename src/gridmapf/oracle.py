@@ -13,7 +13,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Container, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Cell,
@@ -118,28 +118,12 @@ class _Compiled:
             kernel.dist_to(g, dirs) if full else kernel.dist_to_near(s, g, dirs, bound)
             for s, g in zip(self.starts, self.goals)
         ]
+        self.lengths = [dist[start] for dist, start in zip(self.dist, self.starts)]
 
     @property
     def lower_bound(self) -> Optional[int]:
         """Sum of the agents' goal distances, or None if a goal is out of reach."""
-        lengths = [dist[start] for dist, start in zip(self.dist, self.starts)]
-        return None if min(lengths, default=0) < 0 else sum(lengths)
-
-    def descent_moves(self, cur: tuple[int, ...], model: ConflictModel) -> Iterator[tuple[int, ...]]:
-        """Every conflict-free joint move in which each unfinished agent steps
-        one cell closer to its goal and each finished agent rests there."""
-        active: list[int] = []
-        choices: list[list[int]] = []
-        static_cells: set[int] = set()
-        for i, (here, goal) in enumerate(zip(cur, self.goals)):
-            if here == goal:
-                static_cells.add(here)
-                continue
-            dist = self.dist[i]
-            want = dist[here] - 1
-            active.append(i)
-            choices.append([c for off in self.steps if dist[c := here + off] == want])
-        return _joint_moves(cur, active, choices, static_cells, model)
+        return None if min(self.lengths, default=0) < 0 else sum(self.lengths)
 
 
 def _solution_from_states(
@@ -219,13 +203,113 @@ def _joint_moves(
         k += 1
 
 
-def _trail(parent: dict, key: object) -> list:
-    """The keys from the search root down to ``key``."""
-    keys = [key]
-    while parent[keys[-1]] is not None:
-        keys.append(parent[keys[-1]])
-    keys.reverse()
-    return keys
+# A search state: (positions, time, mask of the agents that stay put for good).
+_Key = tuple[tuple[int, ...], int, int]
+
+
+def _dfs(
+    start: _Key,
+    expand: Callable[[_Key], Optional[Iterable[_Key]]],
+    cell: Callable[[int], Cell],
+    clock: _BudgetClock,
+) -> Witness:
+    """Depth-first search over the keys reached from ``start``, each expanded
+    once.  ``expand`` gives a key's successors, or None for a goal; the
+    witness walks the positions of the keys from ``start`` to the first goal.
+    """
+    parent: dict[_Key, Optional[_Key]] = {start: None}
+    stack = [start]
+    while stack:
+        key = stack.pop()
+        clock.tick()
+        successors = expand(key)
+        if successors is None:
+            states = [key[0]]
+            while (key := parent[key]) is not None:
+                states.append(key[0])
+            states.reverse()
+            return Witness(True, _solution_from_states(cell, states))
+        for nxt in clock.paced(successors):
+            if nxt not in parent:
+                parent[nxt] = key
+                stack.append(nxt)
+    return Witness(False, None)
+
+
+def _successors(
+    comp: _Compiled, key: _Key, deadlines: Sequence[int], model: ConflictModel
+) -> Iterable[_Key]:
+    """The keys one conflict-free joint move after ``key``, when agent i must
+    stand on its goal from time ``deadlines[i]`` on.
+
+    An agent is static, on its goal, once it is parked or its deadline has
+    come.  Every other agent may step to a neighbour c with ``0 <= dist[c]
+    <= deadline - t - 1``, and may stay on its cell if that cell passes the
+    same test and waits are allowed or it is the agent's goal.  Without
+    waits an agent that stays is parked: it stays there for good.  With
+    each agent's own distance as its deadline this is strict descent, in
+    which nobody stays, and t follows from the positions.
+    """
+    cur, t, parked = key
+    waits = comp.instance.directions.waits_allowed
+    goals = comp.goals
+    steps = comp.steps
+    static_cells: set[int] = set()
+    active: list[int] = []
+    choices: list[list[int]] = []
+    stayers: list[int] = []
+    for i, here in enumerate(cur):
+        left = deadlines[i] - t - 1
+        if left < 0 or parked >> i & 1:
+            static_cells.add(here)
+            continue
+        dist = comp.dist[i]
+        opts = [c for off in steps if 0 <= dist[c := here + off] <= left]
+        if dist[here] <= left and (waits or here == goals[i]):
+            opts.insert(0, here)
+            stayers.append(i)
+        if not opts:
+            return ()
+        active.append(i)
+        choices.append(opts)
+    if not active:
+        return ()
+    moves = _joint_moves(cur, active, choices, static_cells, model)
+    return _keys(moves, cur, t, parked, () if waits else stayers)
+
+
+def _keys(
+    moves: Iterator[tuple[int, ...]],
+    cur: tuple[int, ...],
+    t: int,
+    parked: int,
+    stayers: Sequence[int],
+) -> Iterable[_Key]:
+    """The key that each joint move out of ``cur`` at time t reaches: each
+    agent of ``stayers`` that stays put joins the parked mask."""
+    if not stayers:
+        return zip(moves, itertools.repeat(t + 1), itertools.repeat(parked))
+    return (
+        (nxt, t + 1, parked | sum(1 << i for i in stayers if nxt[i] == cur[i])) for nxt in moves
+    )
+
+
+def _arrive_by(
+    comp: _Compiled, deadlines: Sequence[int], model: ConflictModel, clock: _BudgetClock
+) -> Witness:
+    """Decide whether every agent i can stand on its goal from time
+    ``deadlines[i]`` on, without conflicts.  With each agent's own distance
+    as its deadline, that is every agent on a shortest path; with one bound
+    for all, a makespan of at most the bound."""
+    if not all(0 <= length <= d for length, d in zip(comp.lengths, deadlines)):
+        return Witness(False, None)
+    goals = comp.goals
+    return _dfs(
+        (comp.starts, 0, 0),
+        lambda key: None if key[0] == goals else _successors(comp, key, deadlines, model),
+        comp.cell,
+        clock,
+    )
 
 
 def exists_individually_optimal(
@@ -236,32 +320,13 @@ def exists_individually_optimal(
     """Decide whether a conflict-free solution exists in which every agent
     moves along some shortest path at every step until reaching its goal.
 
-    Joint depth-first search over the strict-descent space.  Position tuples
-    fully determine elapsed time under strict descent, so states are
-    deduplicated on positions alone.
+    Joint depth-first search in which each agent's deadline is its own goal
+    distance, which leaves strict descent.  Elapsed time is a function of
+    the positions under strict descent and nobody parks, so each state is
+    expanded once per position tuple.
     """
-    return _individually_optimal(_Compiled(instance), model, _BudgetClock(budget))
-
-
-def _individually_optimal(comp: _Compiled, model: ConflictModel, clock: _BudgetClock) -> Witness:
-    if comp.lower_bound is None:
-        return Witness(False, None)
-    if not comp.starts:
-        return Witness(True, Solution(()))
-
-    start = comp.starts
-    parent: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {start: None}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        clock.tick()
-        if cur == comp.goals:
-            return Witness(True, _solution_from_states(comp.cell, _trail(parent, cur)))
-        for nxt in clock.paced(comp.descent_moves(cur, model)):
-            if nxt not in parent:
-                parent[nxt] = cur
-                stack.append(nxt)
-    return Witness(False, None)
+    comp = _Compiled(instance)
+    return _arrive_by(comp, comp.lengths, model, _BudgetClock(budget))
 
 
 def enumerate_individually_optimal(
@@ -281,22 +346,20 @@ def enumerate_individually_optimal(
     comp = _Compiled(instance)
     if comp.lower_bound is None or limit == 0:
         return []
-    if not comp.starts:
-        return [Solution(())]
 
     clock = _BudgetClock(budget)
     out: list[Solution] = []
-    trail: list[tuple[int, ...]] = [comp.starts]
-    moves: list[Iterator[tuple[int, ...]]] = []  # moves[t] leaves trail[t]
+    trail: list[_Key] = [(comp.starts, 0, 0)]
+    moves: list[Iterator[_Key]] = []  # moves[t] leaves trail[t]
     while trail:
         clock.tick()
-        if trail[-1] == comp.goals:
-            out.append(_solution_from_states(comp.cell, trail))
+        if trail[-1][0] == comp.goals:
+            out.append(_solution_from_states(comp.cell, [key[0] for key in trail]))
             if limit is not None and len(out) >= limit:
                 break
             moves.append(iter(()))
         else:
-            moves.append(clock.paced(comp.descent_moves(trail[-1], model)))
+            moves.append(iter(clock.paced(_successors(comp, trail[-1], comp.lengths, model))))
         # back up to the deepest state with a move left, and take it
         while trail and (nxt := next(moves[-1], None)) is None:
             moves.pop()
@@ -314,72 +377,17 @@ def exists_makespan_at_most(
 ) -> Witness:
     """Decide whether a feasible solution with makespan <= ``bound`` exists.
 
-    Depth-limited joint search.  An agent whose remaining distance exceeds
-    the remaining time is pruned, so when every agent's distance equals the
-    bound the search degenerates to strict descent.  Without waits an agent
-    may stay put only on its goal, and then stays there for good: it is
-    parked, a static obstacle recorded in the state.
+    Joint depth-first search with ``bound`` as every agent's deadline.  An
+    agent whose remaining distance exceeds the remaining time is pruned, so
+    when every agent's distance equals the bound the search is the strict
+    descent of ``exists_individually_optimal``.  Without waits an agent may
+    stay put only on its goal, and then stays there for good.  A negative
+    bound is NO, even without agents.
     """
-    return _makespan_at_most(_Compiled(instance, bound=bound), bound, model, _BudgetClock(budget))
-
-
-def _makespan_at_most(
-    comp: _Compiled, bound: int, model: ConflictModel, clock: _BudgetClock
-) -> Witness:
-    n = len(comp.starts)
-    if n == 0:
-        return Witness(True, Solution(()))
-    for i in range(n):
-        d = comp.dist[i][comp.starts[i]]
-        if d < 0 or d > bound:
-            return Witness(False, None)
-
-    goals = comp.goals
-    steps = comp.steps
-    dist = comp.dist
-    waits = comp.instance.directions.waits_allowed
-    # (positions, time, parked mask); the mask stays 0 when waits are allowed
-    start_key = (comp.starts, 0, 0)
-    parent: dict[tuple[tuple[int, ...], int, int], Optional[tuple[tuple[int, ...], int, int]]] = {
-        start_key: None
-    }
-    stack = [start_key]
-    while stack:
-        key = stack.pop()
-        cur, t, parked = key
-        clock.tick()
-        if cur == goals:
-            states = [k[0] for k in _trail(parent, key)]
-            return Witness(True, _solution_from_states(comp.cell, states))
-        if t == bound:
-            continue
-        remaining = bound - t - 1
-        active: list[int] = []
-        choices: list[list[int]] = []
-        for i in range(n):
-            if parked >> i & 1:
-                continue
-            here = cur[i]
-            d = dist[i]
-            opts = [here] if (waits or here == goals[i]) and d[here] <= remaining else []
-            opts += [c for off in steps if 0 <= d[c := here + off] <= remaining]
-            if not opts:
-                break
-            active.append(i)
-            choices.append(opts)
-        else:
-            static_cells = {cur[i] for i in range(n) if parked >> i & 1} if parked else ()
-            for nxt in clock.paced(_joint_moves(cur, active, choices, static_cells, model)):
-                next_parked = parked
-                if not waits:
-                    for i in active:
-                        if nxt[i] == cur[i]:
-                            next_parked |= 1 << i
-                nxt_key = (nxt, t + 1, next_parked)
-                if nxt_key not in parent:
-                    parent[nxt_key] = key
-                    stack.append(nxt_key)
-    return Witness(False, None)
+    if bound < 0:
+        return Witness(False, None)
+    comp = _Compiled(instance, bound=bound)
+    return _arrive_by(comp, [bound] * len(comp.starts), model, _BudgetClock(budget))
 
 
 def optimal_flowtime(
@@ -408,11 +416,11 @@ def _optimal_flowtime(
     n = len(comp.starts)
     if n == 0:
         return 0, Solution(())
-    for i in range(n):
-        if comp.dist[i][comp.starts[i]] < 0:
-            raise NoSolutionError(f"agent {comp.instance.agents[i].id} cannot reach its goal")
+    for agent, length in zip(comp.instance.agents, comp.lengths):
+        if length < 0:
+            raise NoSolutionError(f"agent {agent.id} cannot reach its goal")
     # flowtime >= the lower bound, so a strict-descent witness is optimal
-    descent = _individually_optimal(comp, model, clock)
+    descent = _arrive_by(comp, comp.lengths, model, clock)
     if descent.decision:
         return comp.lower_bound, descent.solution
 
@@ -560,9 +568,9 @@ def two_colored_decide(
             continue
         comp = _Compiled(relabel_with_assignment(instance, assignment), kernel, full=True)
         if objective == "makespan":
-            witness = _makespan_at_most(comp, bound, model, clock)
+            witness = _arrive_by(comp, [bound] * len(lengths), model, clock)
         elif spent == bound:
-            witness = _individually_optimal(comp, model, clock)
+            witness = _arrive_by(comp, lengths, model, clock)
         else:
             try:
                 cost, solution = _optimal_flowtime(comp, model, clock)
@@ -599,20 +607,15 @@ def _team_descent(
     for agent, start in zip(instance.agents, starts):
         fields = [kernel.dist_to(kernel.cid(c), dirs) for c in sorted(instance.teams[agent.team])]
         reach.append([(f, f[start]) for f in fields if f[start] >= 0])
-    start_key = (starts, 0, 0)
-    parent: dict[tuple[tuple[int, ...], int, int], Optional[tuple[tuple[int, ...], int, int]]] = {
-        start_key: None
-    }
-    stack = [start_key]
-    while stack:
-        key = stack.pop()
+
+    def expand(key: _Key) -> Optional[Iterable[_Key]]:
         cur, t, done = key
-        clock.tick()
         static_cells = {cur[i] for i in range(n) if done >> i & 1}
         spent = 0  # finished agents' costs plus each other agent's least live cost
         arrived = True  # every unfinished agent stands on a live target
         active: list[int] = []
         choices: list[list[int]] = []
+        stayers: list[int] = []
         for i in range(n):
             here = cur[i]
             if done >> i & 1:
@@ -623,7 +626,10 @@ def _team_descent(
             spent += t + left
             arrived = arrived and left == 0
             # staying finishes the agent, on a live target no finished agent holds
-            opts = [here] if left == 0 and here not in static_cells else []
+            opts = []
+            if left == 0 and here not in static_cells:
+                opts.append(here)
+                stayers.append(i)
             for off in steps:
                 c = here + off
                 for f in live:
@@ -633,20 +639,12 @@ def _team_descent(
             active.append(i)
             choices.append(opts)
         if spent > bound:
-            continue
+            return ()
         if arrived and spent == bound and len(set(cur)) == n:
-            states = [k[0] for k in _trail(parent, key)]
-            return Witness(True, _solution_from_states(kernel.cell, states))
-        for nxt in clock.paced(_joint_moves(cur, active, choices, static_cells, model)):
-            next_done = done
-            for i in active:
-                if nxt[i] == cur[i]:
-                    next_done |= 1 << i
-            nxt_key = (nxt, t + 1, next_done)
-            if nxt_key not in parent:
-                parent[nxt_key] = key
-                stack.append(nxt_key)
-    return Witness(False, None)
+            return None
+        return _keys(_joint_moves(cur, active, choices, static_cells, model), cur, t, done, stayers)
+
+    return _dfs((starts, 0, 0), expand, kernel.cell, clock)
 
 
 def assignment_minimal_lower_bound(instance: Instance) -> Optional[int]:

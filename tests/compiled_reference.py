@@ -7,9 +7,10 @@ component the goal is reached from, exact on every cell.  This is that
 library's takes, and builds its own kernel on the same cell ids.
 Swapped in for the library's, it must leave every decision, candidate
 list and witness of the bounded searches as it was.  Its fields and its
-own moves come from the neighbour tables of ``kernel_reference``; it
-also hands the library's searches the kernel's move offsets, which they
-read in place of table rows.
+own strict-descent moves, which ``descent_reference`` searches, come
+from the neighbour tables of ``kernel_reference``; it also hands the
+library's searches the kernel's move offsets, which they read in place
+of table rows.
 """
 
 from gridmapf.oracle import _joint_moves
@@ -29,12 +30,12 @@ class ReferenceCompiled:
         self.starts = tuple(kernel.cid(a.start) for a in instance.agents)
         self.goals = tuple(kernel.cid(a.goal) for a in instance.agents)
         self.dist = [kernel.dist_to(goal, dirs) for goal in self.goals]
+        self.lengths = [dist[start] for dist, start in zip(self.dist, self.starts)]
 
     @property
     def lower_bound(self):
         """Sum of the agents' goal distances, or None if a goal is out of reach."""
-        lengths = [dist[start] for dist, start in zip(self.dist, self.starts)]
-        return None if min(lengths, default=0) < 0 else sum(lengths)
+        return None if min(self.lengths, default=0) < 0 else sum(self.lengths)
 
     def descent_moves(self, cur, model):
         """Every conflict-free joint move in which each unfinished agent steps

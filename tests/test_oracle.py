@@ -41,6 +41,7 @@ from gridmapf.oracle import (
     _Compiled,
     _joint_moves,
     _solution_from_states,
+    _successors,
 )
 from rotation_reference import rotating_movers
 
@@ -94,24 +95,27 @@ def product_filter_solutions(instance, model=VERTEX_EDGE):
 
 
 def enumerate_memoized(instance, model=VERTEX_EDGE):
-    """Enumeration with suffix memoization keyed on position tuples.
+    """Enumeration with suffix memoization keyed on (positions, t, parked).
 
-    Exists to demonstrate that strict-descent deduplication is lossless:
-    the result equals plain enumeration, solution for solution.
+    Exists to demonstrate that the deduplication of the strict-descent
+    search is lossless: the result equals plain enumeration, solution for
+    solution.
     """
     comp = _Compiled(instance)
     if comp.lower_bound is None:
         return []
 
     @functools.lru_cache(maxsize=None)
-    def suffixes(cur):
-        if cur == comp.goals:
-            return ((cur,),)
+    def suffixes(key):
+        if key[0] == comp.goals:
+            return ((key[0],),)
         return tuple(
-            (cur,) + tail for nxt in comp.descent_moves(cur, model) for tail in suffixes(nxt)
+            (key[0],) + tail
+            for nxt in _successors(comp, key, comp.lengths, model)
+            for tail in suffixes(nxt)
         )
 
-    return [_solution_from_states(comp.cell, states) for states in suffixes(comp.starts)]
+    return [_solution_from_states(comp.cell, states) for states in suffixes((comp.starts, 0, 0))]
 
 
 class TestExistsIndividuallyOptimal:
