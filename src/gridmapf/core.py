@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import compress
+from operator import ne
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 
@@ -373,8 +375,11 @@ class _GridKernel:
     def cid(self, cell: Cell) -> int:
         return (cell.row + 1) * self.stride + cell.col
 
-    def cell(self, cid: int) -> Cell:
-        return Cell(cid % self.stride, cid // self.stride - 1)
+    def cells(self, ids: Iterable[int]) -> Iterator[Cell]:
+        """The cells of ``ids``, built without ``Cell.__new__``'s Python frame;
+        lazily, so a scan over many ids holds one cell at a time."""
+        s, new = self.stride, tuple.__new__
+        return (new(Cell, (cid % s, cid // s - 1)) for cid in ids)
 
     def at(self, field: list[int], cell: Cell) -> Optional[int]:
         """The field's value at ``cell``; None off the grid or where unreached."""
@@ -494,7 +499,7 @@ def shortest_dist_field(grid: GridMap, goal: Cell, dirs: DirectionSet) -> dict[C
         raise ValueError(f"goal {goal} is not a free cell of the grid")
     kernel = _GridKernel(grid)
     dist, order = kernel._field(kernel.cid(goal), dirs, True)
-    return {kernel.cell(cid): dist[cid] for cid in order}
+    return dict(zip(kernel.cells(order), [dist[cid] for cid in order]))
 
 
 def _team_assignment_ok(instance: Instance, solution: Solution) -> Optional[str]:
@@ -618,31 +623,61 @@ def validate_solution(
     ids = [a.id for a in instance.agents]
     cells = [p.cells for p in solution.paths]
     n = len(cells)
-    horizon = max((len(c) for c in cells), default=1)
 
     # Malformed single-agent steps.  GridMap.is_free inlined on the mask.
     grid = instance.grid
     free, w, h = grid.free, grid.width, grid.height
+    dirs = instance.directions
+    allowed = {*dirs._steps, (0, 0)} if dirs.waits_allowed else set(dirs._steps)
     for aid, path in zip(ids, cells):
         for t, cell in enumerate(path):
             col, row = cell
             if not (0 <= col < w and 0 <= row < h and free[row * w + col]):
                 conflicts.append(Conflict(t, "illegal-step", (aid,), (cell,)))
-        for t in range(1, len(path)):
-            a, b = path[t - 1], path[t]
-            step = (b[0] - a[0], b[1] - a[1])
-            if step == (0, 0):
-                if not instance.directions.waits_allowed:
-                    conflicts.append(Conflict(t, "illegal-step", (aid,), (a,)))
-            elif step not in instance.directions._steps:
-                conflicts.append(Conflict(t, "illegal-step", (aid,), (a, b)))
+        pcol, prow = path[0]
+        for t, (col, row) in enumerate(path[1:], 1):
+            if (col - pcol, row - prow) not in allowed:
+                a, b = path[t - 1], path[t]
+                conflicts.append(Conflict(t, "illegal-step", (aid,), (a,) if a == b else (a, b)))
+            pcol, prow = col, row
 
-    # Interactions, time step by time step.  Edge and following conflicts
-    # pair two movers, so each mover's new cell is looked up among the cells
-    # that movers leave; several can leave one cell after a vertex conflict.
-    here = [c[0] for c in cells]
-    for t in range(horizon):
-        prev, here = here, [c[t] if t < len(c) else c[-1] for c in cells]
+    # Interactions, time step by time step.  An agent whose path has ended
+    # is parked on its end cell, where only a vertex conflict can meet it, so
+    # each step scans the agents still moving, longest path first, against
+    # the parked end cells.  The rule below runs, over all agents in instance
+    # order, only where the scan sees a vertex hit, a swap or, under the
+    # following or cycle rule, a mover entering a cell that a mover left.
+    entering = model.forbid_following or model.forbid_cycle
+    moving = sorted(cells, key=len, reverse=True)
+    parked: set[Cell] = set()
+    occupied: set[Cell] = set()  # the cells of the agents moving at t - 1
+    now = [c[0] for c in moving]
+    for t in range(len(moving[0]) if n else 0):
+        while len(moving[-1]) <= t:
+            parked.add(moving.pop()[-1])
+        m = len(moving)
+        was, now, last = now[:m], [c[t] for c in moving], occupied
+        occupied = set(now)
+        # parked end cells collide only where two teams share a target
+        hit = model.forbid_vertex and (
+            len(occupied) < m or len(parked) < n - m or not occupied.isdisjoint(parked)
+        )
+        # A swap or a move into a cell that a mover left needs a cell held
+        # at both t - 1 and t.
+        if not hit and (entering or model.forbid_edge) and not occupied.isdisjoint(last):
+            if entering:
+                movers = list(map(ne, was, now))
+                hit = not set(compress(was, movers)).isdisjoint(compress(now, movers))
+            else:  # a swap, or a wait, which matches itself
+                back = set(zip(now, was)).intersection(zip(was, now))
+                hit = any(a != b for a, b in back)
+        if not hit:
+            continue
+        # Edge and following conflicts pair two movers, so each mover's new
+        # cell is looked up among the cells that movers leave; several can
+        # leave one cell after a vertex conflict.
+        prev = [c[t - 1] if t <= len(c) else c[-1] for c in cells]
+        here = [c[t] if t < len(c) else c[-1] for c in cells]
         if model.forbid_vertex and len(set(here)) < n:
             seen: dict[Cell, int] = {}
             for i, cell in enumerate(here):

@@ -7,6 +7,8 @@ offending line number.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import sub
 from typing import Optional
 
 from .core import (
@@ -18,6 +20,7 @@ from .core import (
     Instance,
     Solution,
     TimedPath,
+    _GridKernel,
 )
 from .formula import parse_formula
 from .reduction import ChannelSpec, LadderSpec, ReductionMetadata
@@ -165,18 +168,19 @@ _LETTER_STEPS = {letter: step for step, letter in _STEP_LETTERS.items()}
 def write_solution(instance: Instance, solution: Solution) -> str:
     lines = []
     for agent, path in zip(instance.agents, solution.paths):
-        moves = []
-        for a, b in zip(path.cells, path.cells[1:]):
-            letter = _STEP_LETTERS.get((b.col - a.col, b.row - a.row))
-            if letter is None:
-                raise ValueError(f"agent {agent.id}: {a} -> {b} is not a single step")
-            moves.append(letter)
+        cols, rows = zip(*path.cells)
+        steps = zip(map(sub, cols[1:], cols), map(sub, rows[1:], rows))
+        moves = list(map(_STEP_LETTERS.get, steps))
+        if None in moves:
+            t = moves.index(None)
+            a, b = path.cells[t], path.cells[t + 1]
+            raise ValueError(f"agent {agent.id}: {a} -> {b} is not a single step")
         lines.append(f"agent {agent.id} {''.join(moves) or '-'}")
     return "\n".join(lines) + "\n"
 
 
 def read_solution(text: str, instance: Instance) -> Solution:
-    by_id: dict[int, str] = {}
+    by_id: dict[int, tuple[str, int]] = {}  # agent id -> (moves, line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -190,33 +194,33 @@ def read_solution(text: str, instance: Instance) -> Solution:
             raise FileFormatError(f"bad agent id {parts[1]!r}", lineno) from None
         if aid in by_id:
             raise FileFormatError(f"duplicate agent {aid}", lineno)
-        by_id[aid] = "" if parts[2] == "-" else parts[2]
+        by_id[aid] = ("" if parts[2] == "-" else parts[2], lineno)
+    # Each letter the instance allows is a framed-id offset.  A walk that
+    # leaves the grid first enters the frame, which the mask marks blocked,
+    # so ``all`` stops there, before any id that lies past the frame.
+    kernel = _GridKernel(instance.grid)
+    free, dirs = kernel.free, instance.directions
+    offsets = dict(zip(map(_STEP_LETTERS.get, dirs._steps), kernel.steps(dirs)), W=0)
     paths = []
-    allowed = {*instance.directions._steps, Direction.WAIT.value}
-    grid = instance.grid
-    free, w, h = grid.free, grid.width, grid.height
     for agent in instance.agents:
         if agent.id not in by_id:
             raise FileFormatError(f"missing moves for agent {agent.id}")
-        cells = [agent.start]
-        for t, letter in enumerate(by_id[agent.id], start=1):
-            step = _LETTER_STEPS.get(letter)
-            if step is None:
-                raise FileFormatError(f"agent {agent.id}: bad move {letter!r} at step {t}")
-            if step not in allowed:
-                raise FileFormatError(
-                    f"agent {agent.id}: move {letter} at step {t} not in the "
-                    f"instance direction set"
-                )
-            col, row = cells[-1].col + step[0], cells[-1].row + step[1]
-            nxt = Cell(col, row)
-            # GridMap.is_free inlined on the mask: runs once per step read.
-            if not (0 <= col < w and 0 <= row < h and free[row * w + col]):
-                raise FileFormatError(
-                    f"agent {agent.id}: step {t} moves into {nxt}, which is not free"
-                )
-            cells.append(nxt)
-        paths.append(TimedPath.from_cells(cells))
+        moves, lineno = by_id[agent.id]
+        steps = list(map(offsets.get, moves))
+        k = steps.index(None) if None in steps else len(steps)
+        ids = list(accumulate(steps[:k], initial=kernel.cid(agent.start)))
+        if not all(map(free.__getitem__, ids)):
+            t = next(t for t, cid in enumerate(ids) if not free[cid])
+            (col, row), (dcol, drow) = next(kernel.cells(ids[t - 1 : t])), _LETTER_STEPS[moves[t - 1]]
+            nxt = Cell(col + dcol, row + drow)  # not the frame cell of ids[t]
+            raise FileFormatError(f"agent {agent.id}: step {t} moves into {nxt}, which is not free", lineno)
+        if k < len(moves):
+            letter, t = moves[k], k + 1
+            problem = f"move {letter} at step {t} not in the instance direction set"
+            if letter not in _LETTER_STEPS:
+                problem = f"bad move {letter!r} at step {t}"
+            raise FileFormatError(f"agent {agent.id}: {problem}", lineno)
+        paths.append(TimedPath.from_cells(kernel.cells(ids)))
     extra = set(by_id) - {a.id for a in instance.agents}
     if extra:
         raise FileFormatError(f"unknown agent ids {sorted(extra)}")

@@ -79,12 +79,11 @@ class _BudgetClock:
 
     def paced(self, moves: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
         """``moves``, with the deadline also checked every 512 of them: one
-        expansion may generate hundreds of thousands of joint moves."""
+        expansion may generate 100,000s; callers count each in ``generated``."""
         return moves if self.deadline is None else self._paced(moves)
 
     def _paced(self, moves: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
         for move in moves:
-            self.generated += 1
             if not self.generated % 512 and time.perf_counter() >= self.deadline:
                 raise BudgetExceededError("wall-time budget exhausted")
             yield move
@@ -110,7 +109,7 @@ class _Compiled:
         kernel = kernel or _GridKernel(instance.grid)
         dirs = instance.directions
         self.instance = instance
-        self.cell = kernel.cell
+        self.cells = kernel.cells
         self.steps = kernel.steps(dirs)
         self.starts = tuple(kernel.cid(a.start) for a in instance.agents)
         self.goals = tuple(kernel.cid(a.goal) for a in instance.agents)
@@ -127,10 +126,10 @@ class _Compiled:
 
 
 def _solution_from_states(
-    cell: Callable[[int], Cell], states: Sequence[tuple[int, ...]]
+    cells: Callable[[Iterable[int]], Iterator[Cell]], states: Sequence[tuple[int, ...]]
 ) -> Solution:
     """The solution whose agents take the cell ids of ``states`` in turn."""
-    return Solution(tuple(TimedPath.from_cells([cell(c) for c in ids]) for ids in zip(*states)))
+    return Solution(tuple(TimedPath.from_cells(cells(ids)) for ids in zip(*states)))
 
 
 def _joint_moves(
@@ -210,7 +209,7 @@ _Key = tuple[tuple[int, ...], int, int]
 def _dfs(
     start: _Key,
     expand: Callable[[_Key], Optional[Iterable[_Key]]],
-    cell: Callable[[int], Cell],
+    cells: Callable[[Iterable[int]], Iterator[Cell]],
     clock: _BudgetClock,
 ) -> Witness:
     """Depth-first search over the keys reached from ``start``, each expanded
@@ -228,8 +227,9 @@ def _dfs(
             while (key := parent[key]) is not None:
                 states.append(key[0])
             states.reverse()
-            return Witness(True, _solution_from_states(cell, states))
+            return Witness(True, _solution_from_states(cells, states))
         for nxt in clock.paced(successors):
+            clock.generated += 1
             if nxt not in parent:
                 parent[nxt] = key
                 stack.append(nxt)
@@ -307,7 +307,7 @@ def _arrive_by(
     return _dfs(
         (comp.starts, 0, 0),
         lambda key: None if key[0] == goals else _successors(comp, key, deadlines, model),
-        comp.cell,
+        comp.cells,
         clock,
     )
 
@@ -354,7 +354,7 @@ def enumerate_individually_optimal(
     while trail:
         clock.tick()
         if trail[-1][0] == comp.goals:
-            out.append(_solution_from_states(comp.cell, [key[0] for key in trail]))
+            out.append(_solution_from_states(comp.cells, [key[0] for key in trail]))
             if limit is not None and len(out) >= limit:
                 break
             moves.append(iter(()))
@@ -365,6 +365,7 @@ def enumerate_individually_optimal(
             moves.pop()
             trail.pop()
         if trail:
+            clock.generated += 1
             trail.append(nxt)
     return out
 
@@ -461,6 +462,7 @@ def _optimal_flowtime(
             for i in active
         ]
         for nxt in clock.paced(_joint_moves(cur, active, choices, static_cells, model)):
+            clock.generated += 1
             yield (nxt, mask), len(active), True
 
     while heap:
@@ -478,7 +480,7 @@ def _optimal_flowtime(
                 link = parent[state]
             states.append(state[0])
             states.reverse()
-            return g, _solution_from_states(comp.cell, states)
+            return g, _solution_from_states(comp.cells, states)
         for nxt_state, cost, was_move in successors(state):
             ng = g + cost
             if ng < best.get(nxt_state, ng + 1):
@@ -644,7 +646,7 @@ def _team_descent(
             return None
         return _keys(_joint_moves(cur, active, choices, static_cells, model), cur, t, done, stayers)
 
-    return _dfs((starts, 0, 0), expand, kernel.cell, clock)
+    return _dfs((starts, 0, 0), expand, kernel.cells, clock)
 
 
 def assignment_minimal_lower_bound(instance: Instance) -> Optional[int]:

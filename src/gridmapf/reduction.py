@@ -641,12 +641,12 @@ def _walk(kernel: _GridKernel, dirs: DirectionSet, a: Cell, b: Cell) -> list[Cel
     cur = kernel.cid(a)
     if dist[cur] < 0:
         raise LayoutError(f"no route {a} -> {b}")
-    cells = [a]
+    ids = [cur]
     steps = kernel.steps(dirs)
     while dist[cur] > 0:
         cur = next(n for off in steps if dist[n := cur + off] == dist[cur] - 1)
-        cells.append(kernel.cell(cur))
-    return cells
+        ids.append(cur)
+    return list(kernel.cells(ids))
 
 
 def realize_solution(
@@ -791,10 +791,8 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
         for c in clauses:
             if c.side is not side:
                 continue
-            for cid in kernel.reached_from(kernel.cid(agents[c.id].start), dirs):
-                if after is not None and after[cid] > 0:
-                    continue
-                cell = kernel.cell(cid)
+            reached = kernel.reached_from(kernel.cid(agents[c.id].start), dirs)
+            for cell in kernel.cells(cid for cid in reached if after is None or after[cid] <= 0):
                 ok_col = cell.col <= opening.col
                 ok_row = cell.row <= opening.row if side is Side.POSITIVE else cell.row >= opening.row
                 if not (ok_col and ok_row):

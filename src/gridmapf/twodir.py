@@ -138,7 +138,7 @@ def plan_monotone_path(
     path = _monotone_ids(
         kernel.free, kernel.stride, kernel.cid(start), kernel.cid(goal), right_first, stats
     )
-    return None if path is None else MonotonePath(tuple(map(kernel.cell, path)))
+    return None if path is None else MonotonePath(tuple(kernel.cells(path)))
 
 
 def _monotone_ids(
@@ -237,5 +237,5 @@ def solve_two_dir(
                 free[cid] = 1
 
     return Solution(
-        tuple(TimedPath(tuple(map(kernel.cell, found[a.id]))) for a in instance.agents)
+        tuple(TimedPath(tuple(kernel.cells(found[a.id]))) for a in instance.agents)
     )

@@ -24,7 +24,7 @@ class ReferenceCompiled:
         kernel = TableKernel(instance.grid)
         dirs = instance.directions
         self.instance = instance
-        self.cell = kernel.cell
+        self.cells = kernel.cells
         self.nbr = kernel.neighbours(dirs)
         self.steps = kernel.steps(dirs)
         self.starts = tuple(kernel.cid(a.start) for a in instance.agents)

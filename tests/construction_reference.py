@@ -109,7 +109,7 @@ def reference_verify_construction(instance, meta):
             for cid in kernel.reached_from(kernel.cid(agents[c.id].start), dirs):
                 if after is not None and after[cid] > 0:
                     continue
-                cell = kernel.cell(cid)
+                (cell,) = kernel.cells([cid])
                 ok_col = cell.col <= opening.col
                 ok_row = cell.row <= opening.row if side is Side.POSITIVE else cell.row >= opening.row
                 if not (ok_col and ok_row):

@@ -32,7 +32,7 @@ class TableKernel:
     def __init__(self, grid):
         self.grid = grid
         ids = _GridKernel(grid)
-        self.size, self.cid, self.cell, self.at = len(ids.free), ids.cid, ids.cell, ids.at
+        self.size, self.cid, self.cells, self.at = len(ids.free), ids.cid, ids.cells, ids.at
         self.steps = ids.steps
         self._tables = {}
         self._fields = {}

@@ -127,3 +127,11 @@ def test_negative_makespan_bound_is_no():
     one = Instance(grid, (AgentTask(0, Cell(0, 0), Cell(0, 0)),), DirectionSet.from_letters("R"))
     assert not exists_makespan_at_most(one, -1).decision
     assert exists_makespan_at_most(one, 0).decision
+
+
+@pytest.mark.parametrize("budget", [oracle.DEFAULT_BUDGET, SearchBudget(max_seconds=100)])
+def test_generated_keys_are_counted_with_and_without_a_deadline(budget):
+    base, _ = compile_formula(parse_formula(family_text(4, False)))
+    with mock.patch.object(oracle, "_BudgetClock", RecordingClock):
+        assert exists_individually_optimal(base, budget=budget).decision
+    assert (RecordingClock.last.expanded, RecordingClock.last.generated) == (227, 228)

@@ -1,6 +1,8 @@
 """Round trips and error reporting for the text formats, plus rendering."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gridmapf.core import (
     AgentTask,
@@ -8,6 +10,7 @@ from gridmapf.core import (
     DOWN_RIGHT,
     DirectionSet,
     FOUR_DIRECTIONS,
+    MOTION_DIRECTIONS,
     GridMap,
     Instance,
     Solution,
@@ -28,6 +31,7 @@ from gridmapf.formula import parse_formula
 from gridmapf.reduction import compile_formula, makespan_variant
 from gridmapf.render import render, render_ascii, render_svg
 from gridmapf.twodir import solve_two_dir
+from solution_reference import reference_read_solution, reference_write_solution
 
 
 def small_instance():
@@ -219,11 +223,31 @@ class TestSolutionFormat:
         with pytest.raises(FileFormatError) as e:
             read_solution(text, inst)
         assert "agent 0" in str(e.value) and "step 2" in str(e.value)
+        assert e.value.line == 1
 
     def test_disallowed_direction_letter(self):
         inst = small_instance()
-        with pytest.raises(FileFormatError):
-            read_solution("agent 0 U\nagent 1 RR\n", inst)
+        with pytest.raises(FileFormatError) as e:
+            read_solution("agent 1 RR\n\nagent 0 U\n", inst)
+        assert "move U at step 1 not in the instance direction set" in str(e.value)
+        assert e.value.line == 3
+
+    def test_bad_move_letter_carries_line(self):
+        inst = small_instance()
+        with pytest.raises(FileFormatError) as e:
+            read_solution("# two agents\nagent 0 RDD\nagent 1 Rx\n", inst)
+        assert str(e.value) == "line 3: agent 1: bad move 'x' at step 2"
+        assert e.value.line == 3
+
+    def test_first_move_off_the_left_edge_names_the_cell_left_of_it(self):
+        # The framed id left of column 0 is the frame column of the row
+        # above; the error names the cell the move was aimed at.
+        inst = Instance(GridMap(3, 2), (AgentTask(0, Cell(0, 1), Cell(2, 1)),), FOUR_DIRECTIONS)
+        with pytest.raises(FileFormatError) as e:
+            read_solution("agent 0 LRRR\n", inst)
+        assert str(e.value) == (
+            "line 1: agent 0: step 1 moves into Cell(col=-1, row=1), which is not free"
+        )
 
     def test_missing_agent(self):
         inst = small_instance()
@@ -236,6 +260,84 @@ class TestSolutionFormat:
         with pytest.raises(FileFormatError) as e:
             read_solution(f"agent 0 RDD\nagent {aid} RR\n", inst)
         assert e.value.line == 2
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except (FileFormatError, ValueError) as e:
+        return (type(e).__name__, str(e), getattr(e, "line", None))
+
+
+@st.composite
+def solution_texts(draw):
+    """An instance and a solution file for it whose move strings may hold a
+    bad letter or a direction the instance lacks, leave the grid over any
+    edge, enter obstacles or end in waits."""
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = [Cell(c, r) for r in range(height) for c in range(width)]
+    obstacles = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1))
+    free = [c for c in cells if c not in obstacles]
+    k = draw(st.integers(1, min(4, len(free))))
+    starts = draw(st.permutations(free))[:k]
+    goals = draw(st.permutations(free))[:k]
+    moves = draw(st.sets(st.sampled_from(MOTION_DIRECTIONS), min_size=1))
+    dirs = DirectionSet(frozenset(moves), draw(st.booleans()))
+    ids = draw(st.permutations(range(10)))[:k]
+    agents = tuple(AgentTask(ids[i], starts[i], goals[i]) for i in range(k))
+    instance = Instance(GridMap(width, height, frozenset(obstacles)), agents, dirs)
+    lines = []
+    for aid in draw(st.permutations(ids)):
+        letters = draw(st.sampled_from(["UDLRWX", dirs.letters + "W"]))
+        walk = draw(st.text(alphabet=letters, max_size=8)) + "W" * draw(st.integers(0, 2))
+        lines.append(f"agent {aid} {walk or '-'}")
+    return instance, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(solution_texts())
+@example(
+    (
+        Instance(GridMap(3, 2), (AgentTask(0, Cell(0, 1), Cell(2, 1)),), FOUR_DIRECTIONS),
+        "agent 0 LRRR\n",
+    )
+)
+def test_reader_and_writer_match_the_reference(case):
+    instance, text = case
+    expected = outcome(reference_read_solution, text, instance)
+    got = outcome(read_solution, text, instance)
+    if isinstance(expected, Solution):
+        assert got == expected
+        assert write_solution(instance, got) == reference_write_solution(instance, got)
+    elif expected[2] is None and got[2] is not None:
+        # a move error: now on the line of the agent's entry
+        kind, message, line = got
+        aid = int(message.split(":")[1].split()[-1])
+        assert text.splitlines()[line - 1].split()[1] == str(aid)
+        assert (kind, message) == (expected[0], f"line {line}: {expected[1]}")
+    else:
+        assert got == expected
+
+
+# Single steps, waits, jumps and diagonals, on or off the grid.
+STEPS = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (1, 1), (0, -2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(STEPS), max_size=6), min_size=1, max_size=3))
+def test_writer_matches_the_reference_on_any_walk(walk_steps):
+    agents, paths = [], []
+    for i, steps in enumerate(walk_steps):
+        walk = [Cell(i, 0)]
+        for dc, dr in steps:
+            walk.append(Cell(walk[-1].col + dc, walk[-1].row + dr))
+        agents.append(AgentTask(i, walk[0], Cell(i, 1)))
+        paths.append(TimedPath.from_cells(walk))
+    instance = Instance(GridMap(len(agents), 2), tuple(agents), FOUR_DIRECTIONS)
+    solution = Solution(tuple(paths))
+    assert outcome(write_solution, instance, solution) == outcome(
+        reference_write_solution, instance, solution
+    )
 
 
 class TestMetadataFormat:

@@ -57,7 +57,7 @@ def reversed_set(dirs):
 
 
 def as_cells(kernel, field):
-    return {kernel.cell(cid): d for cid, d in enumerate(field) if d >= 0}
+    return {cell: d for cell, d in zip(kernel.cells(range(len(field))), field) if d >= 0}
 
 
 @st.composite
@@ -81,7 +81,7 @@ def assert_fields_match(grid, dirs):
         assert from_cell == reference
         assert from_cell == as_cells(kernel, kernel.dist_to(cid, reversed_set(dirs)))
         # Same neighbour order as the reference, so the same visiting order.
-        assert [kernel.cell(c) for c in kernel.reached_from(cid, dirs)] == list(reference)
+        assert list(kernel.cells(kernel.reached_from(cid, dirs))) == list(reference)
 
 
 @settings(max_examples=100, deadline=None)

@@ -189,6 +189,63 @@ def shared_cell_case(order=(0, 1, 2)):
     return instance, Solution(tuple(TimedPath(tuple(w)) for w in walks))
 
 
+def walks_case(width, height, walks, teams=None):
+    """Agent ``i`` walks ``walks[i]`` on an open grid under four directions;
+    with ``teams``, agent ``i`` is in team ``teams[i]``, whose targets are
+    the ends of its members' walks."""
+    walks = [[Cell(*c) for c in walk] for walk in walks]
+    labels = teams or [None] * len(walks)
+    targets = None
+    if teams:
+        targets = {}
+        for label, walk in zip(teams, walks):
+            targets.setdefault(label, set()).add(walk[-1])
+    agents = tuple(
+        AgentTask(i, w[0], w[-1] if not teams else Cell(i, height - 1), labels[i])
+        for i, w in enumerate(walks)
+    )
+    teams = targets and {label: frozenset(cells) for label, cells in targets.items()}
+    instance = Instance(GridMap(width, height), agents, FOUR_DIRECTIONS, teams)
+    return instance, Solution(tuple(TimedPath.from_cells(w) for w in walks))
+
+
+# Agent 1 crosses (1,1) at t=2, where agent 0 has stood since t=1.
+CROSSES_PARKED = walks_case(3, 3, [[(1, 0), (1, 1)], [(0, 0), (0, 1), (1, 1), (2, 1)]])
+# Agents 0 and 1 swap at t=1, the last step of agent 0's path.
+SWAP_AT_ARRIVAL = walks_case(2, 2, [[(0, 0), (1, 0)], [(1, 0), (0, 0), (0, 1)]])
+# Agent 0 arrives on (1,0) at t=1, the step at which agent 1 passes it.
+VERTEX_AT_ARRIVAL = walks_case(3, 2, [[(0, 0), (1, 0)], [(2, 0), (1, 0), (1, 1)]])
+# A 15-step snake past an agent that never moves and one parked at t=1.
+SNAKE = [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (2, 1), (1, 1), (0, 1)]
+SNAKE += [(0, 2), (1, 2), (2, 2), (3, 2), (3, 3), (2, 3), (1, 3), (1, 2)]
+UNEVEN_LENGTHS = walks_case(4, 4, [SNAKE, [(0, 3), (1, 3)], [(3, 3)]])
+# Two teams share the target (0,1); their agents park there at t=1 and t=2,
+# and stay there while agent 2 still moves.
+SHARED_TARGET = walks_case(
+    3, 2, [[(0, 0), (0, 1)], [(1, 0), (1, 1), (0, 1)], [(2, 0), (2, 1), (2, 0), (2, 1)]], "abc"
+)
+
+
+def test_pinned_scan_cases_hold_their_conflicts():
+    assert [(c.time, c.kind) for c in validate_solution(*CROSSES_PARKED).conflicts] == [
+        (2, "vertex")
+    ]
+    assert [(c.time, c.kind) for c in validate_solution(*SWAP_AT_ARRIVAL).conflicts] == [
+        (1, "edge")
+    ]
+    assert [(c.time, c.kind) for c in validate_solution(*VERTEX_AT_ARRIVAL).conflicts] == [
+        (1, "vertex")
+    ]
+    assert [(c.time, c.agents) for c in validate_solution(*UNEVEN_LENGTHS).conflicts] == [
+        (12, (0, 2)),
+        (14, (0, 1)),
+    ]
+    assert [(c.time, c.agents) for c in validate_solution(*SHARED_TARGET).conflicts] == [
+        (2, (0, 1)),
+        (3, (0, 1)),
+    ]
+
+
 def rotating_ids_by_step(instance, solution):
     """Step -> ids of the agents in some rotating subset of that step's movers."""
     ids = [a.id for a in instance.agents]
@@ -206,6 +263,11 @@ def rotating_ids_by_step(instance, solution):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(validation_cases(), validation_cases(max_side=2)))
 @example(shared_cell_case())
+@example(CROSSES_PARKED)
+@example(SWAP_AT_ARRIVAL)
+@example(VERTEX_AT_ARRIVAL)
+@example(UNEVEN_LENGTHS)
+@example(SHARED_TARGET)
 def test_validator_matches_pairwise_reference(case):
     instance, solution = case
     rotating = rotating_ids_by_step(instance, solution)
