@@ -268,32 +268,45 @@ def compute_w(formula: MonotoneFormula, forest: Optional[NestingForest] = None) 
     return plan.width, 6 * max(1, formula.num_clauses)
 
 
-class _Segments:
-    """Free cells built from straight runs, tracking legal adjacencies."""
+class _Layout:
+    """Straight runs as row-major byte masks: ``free`` marks the free cells,
+    ``right[i]`` allows the step i -> i + 1, ``down[i]`` i -> i + width."""
 
-    def __init__(self) -> None:
-        self.free: set[Cell] = set()
-        self.allowed: set[frozenset[Cell]] = set()
-
-    def add_run(self, cells: Sequence[Cell]) -> None:
-        prev: Optional[Cell] = None
-        for cell in cells:
-            self.free.add(cell)
-            if prev is not None:
-                self.allowed.add(frozenset((prev, cell)))
-            prev = cell
+    def __init__(self, width: int, height: int) -> None:
+        self.width, self.height = width, height
+        self.free, self.right, self.down = (bytearray(width * height) for _ in range(3))
 
     def h_run(self, row: int, col_lo: int, col_hi: int) -> None:
-        self.add_run([Cell(c, row) for c in range(col_lo, col_hi + 1)])
+        self._run(col_lo, row, col_hi, row, 1, self.right)
 
     def v_run(self, col: int, row_lo: int, row_hi: int) -> None:
-        self.add_run([Cell(col, r) for r in range(row_lo, row_hi + 1)])
+        self._run(col, row_lo, col, row_hi, self.width, self.down)
+
+    def _run(self, col: int, row: int, col_hi: int, row_hi: int, step: int, steps: bytearray) -> None:
+        w, h = self.width, self.height
+        for c, r in ((col, row), (col_hi, row_hi)):
+            if not (0 <= c < w and 0 <= r < h):
+                raise LayoutError(f"corridor cell {Cell(c, r)} outside the {w}x{h} layout")
+        # One slice write per mask; both ends lie in it, so no stop is negative and wraps.
+        a, b = row * w + col, row_hi * w + col_hi
+        self.free[a : b + 1 : step] = b"\x01" * ((b - a) // step + 1)
+        steps[a:b:step] = b"\x01" * ((b - a) // step)
 
     def audit(self) -> None:
-        for cell in self.free:
-            for other in (Cell(cell.col + 1, cell.row), Cell(cell.col, cell.row + 1)):
-                if other in self.free and frozenset((cell, other)) not in self.allowed:
-                    raise LayoutError(f"accidental corridor adjacency {cell} / {other}")
+        """Raise on the lowest free cell beside a free cell right of or below
+        it with no allowed step between them.  Each mask is one integer of
+        byte lanes; the last column's lanes have no right neighbour."""
+        w = self.width
+        free = int.from_bytes(self.free, "little")
+        not_last = int.from_bytes((b"\x01" * (w - 1) + b"\x00") * self.height, "little")
+        across = free & (free >> 8) & not_last & ~int.from_bytes(self.right, "little")
+        below = free & (free >> 8 * w) & ~int.from_bytes(self.down, "little")
+        if bad := across | below:
+            i = ((bad & -bad).bit_length() - 1) // 8
+            j = i + 1 if across >> 8 * i & 1 else i + w
+            raise LayoutError(
+                f"accidental corridor adjacency {Cell(i % w, i // w)} / {Cell(j % w, j // w)}"
+            )
 
 
 def compile_formula(
@@ -352,112 +365,6 @@ def compile_formula(
             return r_top - height_of(c.id)
         return r_bot + height_of(c.id)
 
-    seg = _Segments()
-    ladders: list[LadderSpec] = []
-
-    # Clause corridors, legs, ladders.
-    right_end: dict[int, int] = {}
-    for c in formula.clauses:
-        own = plan.slot[(c.side, c.id, c.vars[-1])]
-        kid_ladders = [
-            plan.ladder_col[(c.side, k)]
-            for k in forest.children.get(c.id, ())
-            if (c.side, k) in plan.ladder_col
-        ]
-        if forest.parent[c.id] is None:
-            right_end[c.id] = plan.rightmost
-        else:
-            right_end[c.id] = max([own] + kid_ladders)
-    for c in formula.clauses:
-        row = corridor_row(c)
-        seg.h_run(row, start_col(c), right_end[c.id])
-        for v in c.vars:
-            col = plan.slot[(c.side, c.id, v)]
-            if c.side is Side.POSITIVE:
-                seg.v_run(col, row, r_top)
-            else:
-                seg.v_run(col, r_bot, row)
-        parent = forest.parent[c.id]
-        if parent is not None:
-            lad = plan.ladder_col[(c.side, c.id)]
-            p_row = corridor_row(formula.clause_by_id(parent))
-            notch_row = row - 1 if c.side is Side.POSITIVE else row + 1
-            # notch step off the corridor, run to the ladder column, climb.
-            seg.v_run(
-                right_end[c.id],
-                min(row, notch_row),
-                max(row, notch_row),
-            )
-            seg.h_run(notch_row, right_end[c.id], lad)
-            seg.v_run(lad, min(p_row, notch_row), max(p_row, notch_row))
-            ladders.append(
-                LadderSpec("clause", c.id, "h", notch_row, right_end[c.id], lad)
-            )
-            ladders.append(
-                LadderSpec(
-                    "clause", c.id, "v", lad, min(p_row, notch_row), max(p_row, notch_row)
-                )
-            )
-
-    # Variable collectors, channels, connectors.  A connector stands in for
-    # the missing side's legs: it descends (or rises) from the channel end
-    # until it meets the corridor of the innermost clause whose interval
-    # spans its gap, or the root row when no clause does.
-    channels: list[ChannelSpec] = []
-    uncovered_connectors: dict[Side, list[int]] = {Side.POSITIVE: [], Side.NEGATIVE: []}
-    occurring = sorted({v for c in formula.clauses for v in c.vars})
-    for v in occurring:
-        for side, band_row in ((Side.POSITIVE, r_top), (Side.NEGATIVE, r_bot)):
-            slots = [
-                plan.slot[(side, c.id, v)]
-                for c in formula.side_clauses(side)
-                if v in c.vars
-            ]
-            if slots:
-                seg.h_run(band_row, min(slots), plan.x[v])
-                continue
-            conn = plan.connector_col[(side, v)]
-            seg.h_run(band_row, plan.x[v], conn)
-            coverers = [
-                c
-                for c in formula.side_clauses(side)
-                if c.interval[0] <= v < c.interval[1]
-            ]
-            if coverers:
-                target = min(coverers, key=lambda c: levels[c.id])
-                end_row = corridor_row(target)
-            else:
-                end_row = pos_root_row if side is Side.POSITIVE else neg_root_row
-                uncovered_connectors[side].append(conn)
-            seg.v_run(conn, min(band_row, end_row), max(band_row, end_row))
-            ladders.append(
-                LadderSpec("var", v, "v", conn, min(band_row, end_row), max(band_row, end_row))
-            )
-            ladders.append(LadderSpec("var", v, "h", band_row, plan.x[v], conn))
-        seg.v_run(plan.x[v], r_top, r_bot)
-        channels.append(ChannelSpec(v, plan.x[v], r_top + 1, r_bot - 1))
-
-    # Root corridors exist even on a side without clauses, to host the
-    # opening; they stretch left as far as the leftmost connector that had
-    # to come all the way to the root row.
-    pos_root = forest.roots[Side.POSITIVE]
-    neg_root = forest.roots[Side.NEGATIVE]
-    for side, root, row in (
-        (Side.POSITIVE, pos_root, pos_root_row),
-        (Side.NEGATIVE, neg_root, neg_root_row),
-    ):
-        risers = uncovered_connectors[side]
-        if root is None:
-            seg.h_run(row, min(risers, default=plan.rightmost), plan.rightmost)
-        elif risers:
-            left = min(min(risers), start_col(formula.clause_by_id(root)))
-            seg.h_run(row, left, plan.rightmost)
-
-    # Openings and target stacks (targets every other row so parked agents
-    # and private makespan extensions never touch).
-    seg.v_run(plan.rightmost, pos_root_row - max(1, 2 * m_neg), pos_root_row)
-    seg.v_run(plan.rightmost, neg_root_row, neg_root_row + max(1, 2 * m_pos))
-
     # Starts, opening distances, target assignment.
     def opening_distance(c: Clause) -> int:
         row = corridor_row(c)
@@ -490,8 +397,104 @@ def compile_formula(
             f"layout needs {plan.width * height} cells, over the cap of {max_cells}"
         )
 
+    seg = _Layout(plan.width, height)
+    ladders: list[LadderSpec] = []
+
+    def ladder_run(owner_kind: str, owner_id: int, kind: str, fixed: int, a: int, b: int) -> None:
+        """A ladder or connector piece: one run, recorded in the ledger too."""
+        lo, hi = min(a, b), max(a, b)
+        (seg.v_run if kind == "v" else seg.h_run)(fixed, lo, hi)
+        ladders.append(LadderSpec(owner_kind, owner_id, kind, fixed, lo, hi))
+
+    # Clause corridors, legs, ladders.
+    right_end: dict[int, int] = {}
+    for c in formula.clauses:
+        own = plan.slot[(c.side, c.id, c.vars[-1])]
+        kid_ladders = [
+            plan.ladder_col[(c.side, k)]
+            for k in forest.children.get(c.id, ())
+            if (c.side, k) in plan.ladder_col
+        ]
+        if forest.parent[c.id] is None:
+            right_end[c.id] = plan.rightmost
+        else:
+            right_end[c.id] = max([own] + kid_ladders)
+    for c in formula.clauses:
+        row = corridor_row(c)
+        seg.h_run(row, start_col(c), right_end[c.id])
+        for v in c.vars:
+            col = plan.slot[(c.side, c.id, v)]
+            if c.side is Side.POSITIVE:
+                seg.v_run(col, row, r_top)
+            else:
+                seg.v_run(col, r_bot, row)
+        parent = forest.parent[c.id]
+        if parent is not None:
+            lad = plan.ladder_col[(c.side, c.id)]
+            p_row = corridor_row(formula.clause_by_id(parent))
+            notch_row = row - 1 if c.side is Side.POSITIVE else row + 1
+            # notch step off the corridor, run to the ladder column, climb.
+            seg.v_run(right_end[c.id], min(row, notch_row), max(row, notch_row))
+            ladder_run("clause", c.id, "h", notch_row, right_end[c.id], lad)
+            ladder_run("clause", c.id, "v", lad, p_row, notch_row)
+
+    # Variable collectors, channels, connectors.  A connector stands in for
+    # the missing side's legs: it descends (or rises) from the channel end
+    # until it meets the corridor of the innermost clause whose interval
+    # spans its gap, or the root row when no clause does.
+    channels: list[ChannelSpec] = []
+    uncovered_connectors: dict[Side, list[int]] = {Side.POSITIVE: [], Side.NEGATIVE: []}
+    occurring = sorted({v for c in formula.clauses for v in c.vars})
+    for v in occurring:
+        for side, band_row in ((Side.POSITIVE, r_top), (Side.NEGATIVE, r_bot)):
+            slots = [
+                plan.slot[(side, c.id, v)]
+                for c in formula.side_clauses(side)
+                if v in c.vars
+            ]
+            if slots:
+                seg.h_run(band_row, min(slots), plan.x[v])
+                continue
+            conn = plan.connector_col[(side, v)]
+            coverers = [
+                c
+                for c in formula.side_clauses(side)
+                if c.interval[0] <= v < c.interval[1]
+            ]
+            if coverers:
+                target = min(coverers, key=lambda c: levels[c.id])
+                end_row = corridor_row(target)
+            else:
+                end_row = pos_root_row if side is Side.POSITIVE else neg_root_row
+                uncovered_connectors[side].append(conn)
+            ladder_run("var", v, "v", conn, band_row, end_row)
+            ladder_run("var", v, "h", band_row, plan.x[v], conn)
+        seg.v_run(plan.x[v], r_top, r_bot)
+        channels.append(ChannelSpec(v, plan.x[v], r_top + 1, r_bot - 1))
+
+    # Root corridors exist even on a side without clauses, to host the
+    # opening; they stretch left as far as the leftmost connector that had
+    # to come all the way to the root row.
+    pos_root = forest.roots[Side.POSITIVE]
+    neg_root = forest.roots[Side.NEGATIVE]
+    for side, root, row in (
+        (Side.POSITIVE, pos_root, pos_root_row),
+        (Side.NEGATIVE, neg_root, neg_root_row),
+    ):
+        risers = uncovered_connectors[side]
+        if root is None:
+            seg.h_run(row, min(risers, default=plan.rightmost), plan.rightmost)
+        elif risers:
+            left = min(min(risers), start_col(formula.clause_by_id(root)))
+            seg.h_run(row, left, plan.rightmost)
+
+    # Openings and target stacks (targets every other row so parked agents
+    # and private makespan extensions never touch).
+    seg.v_run(plan.rightmost, pos_root_row - max(1, 2 * m_neg), pos_root_row)
+    seg.v_run(plan.rightmost, neg_root_row, neg_root_row + max(1, 2 * m_pos))
+
     seg.audit()
-    grid = _layout_grid(plan.width, height, seg.free)
+    grid = GridMap.from_mask(plan.width, height, seg.free)
     agents = tuple(
         AgentTask(
             id=c.id,
@@ -516,16 +519,6 @@ def compile_formula(
     )
     _compile_sanity(instance, meta)
     return instance, meta
-
-
-def _layout_grid(width: int, height: int, cells: set[Cell]) -> GridMap:
-    """The grid whose free cells are ``cells``."""
-    free = bytearray(width * height)
-    for col, row in cells:
-        if not (0 <= col < width and 0 <= row < height):
-            raise LayoutError(f"corridor cell {Cell(col, row)} outside the {width}x{height} layout")
-        free[row * width + col] = 1
-    return GridMap.from_mask(width, height, free)
 
 
 def _entry_distances(
@@ -593,21 +586,15 @@ def makespan_variant(
         dists[agent.id] = d
     common = max(dists.values(), default=0)
 
-    extension_cells: set[Cell] = set()
-    new_goals: dict[int, Cell] = {}
-    for agent in instance.agents:
-        ext = common - dists[agent.id]
-        new_goals[agent.id] = Cell(agent.goal.col + ext, agent.goal.row)
-        for k in range(1, ext + 1):
-            extension_cells.add(Cell(agent.goal.col + k, agent.goal.row))
-    old = instance.grid
-    w = old.width
+    new_goals = {a.id: Cell(a.goal.col + common - dists[a.id], a.goal.row) for a in instance.agents}
+    old, w = instance.grid, instance.grid.width
     new_width = max([w] + [g.col + 1 for g in new_goals.values()])
     free = bytearray(new_width * old.height)
     for r in range(old.height):
         free[r * new_width : r * new_width + w] = old.free[r * w : (r + 1) * w]
-    for col, row in extension_cells:
-        free[row * new_width + col] = 1
+    for a in instance.agents:  # each private extension: right of the old goal up to the new one
+        i = a.goal.row * new_width + a.goal.col + 1
+        free[i : i + common - dists[a.id]] = b"\x01" * (common - dists[a.id])
     grid = GridMap.from_mask(new_width, old.height, free)
     agents = tuple(
         AgentTask(id=a.id, start=a.start, goal=new_goals[a.id], team=a.team)
@@ -716,6 +703,19 @@ def extract_assignment(
     return assignment
 
 
+def _first_blocked(grid: GridMap, ch: ChannelSpec) -> Optional[Cell]:
+    """The channel's first interior cell, top down, that is blocked or off
+    the grid, or None; one strided slice of the mask reads its rows on the grid."""
+    col, top, w = ch.col, ch.top_row, grid.width
+    last = min(ch.bottom_row, grid.height - 1)
+    if not (0 <= col < w and top >= 0):
+        row = top  # the top cell is off the grid
+    else:  # past the slice lies the first row below the grid, or no row at all
+        k = grid.free[top * w + col : last * w + col + 1 : w].find(0)
+        row = top + k if k >= 0 else max(top, last + 1)
+    return Cell(col, row) if row <= ch.bottom_row else None
+
+
 def verify_construction(instance: Instance, meta: ReductionMetadata) -> ConstructionReport:
     """Independent structural checks of a compiled instance.
 
@@ -727,7 +727,7 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
     clauses = meta.formula.clauses
     grid = instance.grid
     kernel = _GridKernel(grid)
-    at = kernel.at
+    at, s = kernel.at, kernel.stride
 
     def start_field(c: Clause) -> list[int]:
         return kernel.dist_from(kernel.cid(agents[c.id].start), meta.sign_directions(c.side))
@@ -753,7 +753,7 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
 
     # 2. channels all have length L, identical row spans and free interiors
     problems = []
-    blocked = {ch: next((x for x in ch.cells() if not grid.is_free(x)), None) for ch in meta.channels}
+    blocked = {ch: _first_blocked(grid, ch) for ch in meta.channels}
     spans = {(ch.top_row, ch.bottom_row) for ch in meta.channels}
     if len(spans) > 1:
         problems.append(f"channel row spans differ: {sorted(spans)}")
@@ -791,14 +791,12 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
         for c in clauses:
             if c.side is not side:
                 continue
-            reached = kernel.reached_from(kernel.cid(agents[c.id].start), dirs)
-            for cell in kernel.cells(cid for cid in reached if after is None or after[cid] <= 0):
-                ok_col = cell.col <= opening.col
-                ok_row = cell.row <= opening.row if side is Side.POSITIVE else cell.row >= opening.row
-                if not (ok_col and ok_row):
-                    problems.append(
-                        f"agent {c.id} reaches {cell}, not dominated by opening {opening}"
-                    )
+            for cid in kernel.reached_from(kernel.cid(agents[c.id].start), dirs):
+                row = cid // s - 1
+                ok_row = row <= opening.row if side is Side.POSITIVE else row >= opening.row
+                if (after is None or after[cid] <= 0) and not (cid % s <= opening.col and ok_row):
+                    (cell,) = kernel.cells((cid,))
+                    problems.append(f"agent {c.id} reaches {cell}, not dominated by opening {opening}")
                     break
     checks.append(CheckResult("opening-dominates", not problems, "; ".join(problems)))
 
@@ -837,8 +835,9 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
         blocked: list[int] = []
         for v in c.vars:
             ch = meta.channel_by_var(v)
-            if ch is not None:
-                blocked += [kernel.cid(cell) for cell in ch.cells() if grid.in_bounds(cell)]
+            if ch is not None and 0 <= ch.col < grid.width:  # its rows on the grid only
+                lo, hi = max(ch.top_row, 0), min(ch.bottom_row, grid.height - 1)
+                blocked += range((lo + 1) * s + ch.col, (hi + 1) * s + ch.col + 1, s)
         bypass = kernel.dist_from_avoiding(
             kernel.cid(agent.start), meta.sign_directions(c.side), blocked
         )

@@ -2,19 +2,28 @@
 
 Report texts (name, verdict and detail of every check) must be equal on
 the corpus, on the benchmark family and its UNSAT twin, on their makespan
-variants, and on seeded random flips of mask cells, which make checks
-fail in ways no compiled layout does.
+variants, on seeded random flips of mask cells, which make checks
+fail in ways no compiled layout does, and on hand-edited channels that
+leave the grid.
 """
 
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from construction_reference import reference_verify_construction
+from gridmapf import files
 from gridmapf.core import Cell, GridMap, Instance
 from gridmapf.formula import parse_formula
-from gridmapf.reduction import compile_formula, makespan_variant, verify_construction
+from gridmapf.reduction import (
+    ChannelSpec,
+    _first_blocked,
+    compile_formula,
+    makespan_variant,
+    verify_construction,
+)
 from test_golden import family_text, report_text
 
 
@@ -76,3 +85,57 @@ def test_random_mask_flips(corpus_compiled):
     # The flips reach the failure paths of every rewritten check.
     assert failing["channel-routes-equal-length"] and failing["no-channel-bypass"]
     assert failing["two-directions-suffice"]
+
+
+def test_hand_edited_channels_off_the_grid(corpus_compiled):
+    """A ``.meta`` whose channel runs past the top and the bottom of the
+    grid, or lies beside it: check 2 names the first off-grid cell as
+    blocked, and check 6 blocks only the channel's cells on the grid."""
+    inst, meta = corpus_compiled["two-clause-sat"]
+    ch = meta.channels[0]
+    w, h = inst.grid.width, inst.grid.height
+    line = f"channel {ch.var} {ch.col} {ch.top_row} {ch.bottom_row}"
+    text = files.write_metadata(meta)
+    assert line in text.splitlines()
+    details = {}
+    for col, top, bottom in (
+        (ch.col, -3, h + 2),
+        (ch.col, -1, ch.bottom_row),
+        (ch.col, ch.top_row, h),
+        (ch.col, h, h + 4),
+        (ch.col, -6, -2),
+        (ch.col, ch.top_row, ch.top_row - 1),
+        (-1, ch.top_row, ch.bottom_row),
+        (w, ch.top_row, ch.bottom_row),
+        (-2, ch.top_row, ch.bottom_row),
+        # Past the right edge by the channel's column and the frame: its
+        # framed ids, unchecked, would be the real channel's one row down.
+        (ch.col + w + 1, ch.top_row, ch.bottom_row),
+    ):
+        edited = files.read_metadata(text.replace(line, f"channel {ch.var} {col} {top} {bottom}"))
+        report = assert_same_report(inst, edited)
+        details[(col, top, bottom)] = {c.name: c.detail for c in report.checks}
+    geometry = {span: d["channel-geometry"] for span, d in details.items()}
+    assert f"channel {ch.var} cell Cell(col={ch.col}, row=-3) is not free" in geometry[
+        (ch.col, -3, h + 2)
+    ]
+    assert f"cell Cell(col=-1, row={ch.top_row}) is not free" in geometry[
+        (-1, ch.top_row, ch.bottom_row)
+    ]
+    assert "is not free" not in geometry[(ch.col, ch.top_row, ch.top_row - 1)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_first_blocked_channel_cell_matches_a_walk_down_the_channel(width, height, data):
+    free = data.draw(st.binary(min_size=width * height, max_size=width * height))
+    grid = GridMap.from_mask(width, height, bytes(b & 1 for b in free))
+    col = data.draw(st.integers(-2, width + 1))
+    top = data.draw(st.integers(-3, height + 2))
+    ch = ChannelSpec(1, col, top, data.draw(st.integers(top - 2, height + 3)))
+    walk = next((cell for cell in ch.cells() if not grid.is_free(cell)), None)
+    assert _first_blocked(grid, ch) == walk

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from gridmapf import reduction
 from gridmapf.core import (
     FOUR_DIRECTIONS,
     Cell,
@@ -24,6 +25,8 @@ from gridmapf.reduction import (
     two_colored_variant,
     verify_construction,
 )
+
+from test_golden import family_text
 
 
 def compute_l(instance, meta):
@@ -91,6 +94,20 @@ class TestCompileBasics:
         f = parse_formula("vars 3\nclause 1 + 1 2 3\nclause 2 + 1 2\n")
         with pytest.raises(LayoutError):
             compile_formula(f)
+
+    def test_cell_cap_is_checked_before_any_mask(self, monkeypatch):
+        formula = parse_formula(family_text(8, False))
+        inst, _ = compile_formula(formula)
+        area = inst.grid.width * inst.grid.height
+        assert compile_formula(formula, max_cells=area)[0].grid == inst.grid
+
+        def no_layout(width, height):
+            raise AssertionError(f"a {width}x{height} layout was allocated")
+
+        monkeypatch.setattr(reduction, "_Layout", no_layout)
+        with pytest.raises(LayoutError) as e:
+            compile_formula(formula, max_cells=area - 1)
+        assert str(e.value) == f"layout needs {area} cells, over the cap of {area - 1}"
 
     def test_positive_starts_above_negative_starts(self, corpus_compiled):
         inst, meta = corpus_compiled["two-clause-sat"]
