@@ -351,6 +351,14 @@ class ConflictReport:
         return {c.kind for c in self.conflicts}
 
 
+def _id_cells(ids: Iterable[int], stride: int) -> Iterator[Cell]:
+    """The cells of framed ids ``(row + 1) * stride + col``, built without
+    ``Cell.__new__``'s Python frame; lazily, so a scan over many ids holds
+    one cell at a time.  Any stride larger than the highest column works."""
+    new = tuple.__new__
+    return (new(Cell, (cid % stride, cid // stride - 1)) for cid in ids)
+
+
 class _GridKernel:
     """A grid lowered to framed cell ids, ``(row + 1) * stride + col``.
 
@@ -376,10 +384,7 @@ class _GridKernel:
         return (cell.row + 1) * self.stride + cell.col
 
     def cells(self, ids: Iterable[int]) -> Iterator[Cell]:
-        """The cells of ``ids``, built without ``Cell.__new__``'s Python frame;
-        lazily, so a scan over many ids holds one cell at a time."""
-        s, new = self.stride, tuple.__new__
-        return (new(Cell, (cid % s, cid // s - 1)) for cid in ids)
+        return _id_cells(ids, self.stride)
 
     def at(self, field: list[int], cell: Cell) -> Optional[int]:
         """The field's value at ``cell``; None off the grid or where unreached."""

@@ -5,8 +5,8 @@ solution (every agent on a shortest path, no waits) can be found in
 O(N * |V|) time or proven not to exist.  The algorithm is prioritized
 planning over anti-diagonal groups: agents are processed rightmost
 diagonal first, and inside a diagonal by decreasing start column; each
-single-agent search is a depth-first search that prefers going right
-before going down.
+agent takes the highest down/right path that avoids the cells barred to
+it, the one that goes right whenever going right can still reach the goal.
 
 Two facts make this correct.  Each down or right move increases
 ``col + row`` by exactly one, so agents starting on different
@@ -18,11 +18,31 @@ cell, so earlier-planned path cells are blocked for the rest of the
 group.  The right-first preference makes every planned path the
 "highest" feasible one, which never steals a cell that a later agent of
 the group could not concede.
+
+Each grid row is one Python int, column ``c`` at bit ``width - 1 - c``,
+whose set bits are the cells a path may enter.  One agent's search sweeps
+its start-goal box from the goal row up.  In each row, ``m`` is the
+row's open box cells and ``seeds`` those of ``m`` whose lower neighbour
+reaches the goal (on the goal row, the goal itself).  The addition
+``m + seeds`` carries each seed leftward through its run of open cells,
+so ``m & ~(m + seeds) | seeds`` is every cell of the row that reaches
+the goal: the row's reach set.  This is the carry trick of bit-parallel
+string matching (Myers, J. ACM 46(3), 1999).  The answer is NO once a
+row has no seed, or when the start is not in the top row's reach set.
+Otherwise the path walks down from the start and goes right while the
+right cell is in the reach set.  A right-first depth-first search that
+memoizes its dead ends goes right exactly when the right cell can still
+reach the goal, so it returns the same path; ``right_first=False`` goes
+down whenever the cell below is in the next row's reach set, as the
+down-first search does.  Each agent costs one big-int step per box row,
+O(box area / word size) word operations and never more than O(|V|), so
+the O(N * |V|) bound holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional
 
 from .core import (
@@ -33,8 +53,11 @@ from .core import (
     Instance,
     Solution,
     TimedPath,
-    _GridKernel,
+    _id_cells,
 )
+
+# Translates a 0/1 free mask into binary digits.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def diagonal_key(cell: Cell) -> int:
@@ -83,7 +106,11 @@ class MonotonePath:
 
 @dataclass
 class SolverStats:
-    """Work counters for the planner, used by the complexity checks."""
+    """Work counters for the planner, used by the complexity checks.
+
+    ``visited_cells`` counts the box cells the reach sweep decided: rows
+    swept times box width, summed over the agents planned.
+    """
 
     visited_cells: int = 0
     planned_agents: int = 0
@@ -121,72 +148,79 @@ def plan_monotone_path(
     right_first: bool = True,
     stats: Optional[SolverStats] = None,
 ) -> Optional[MonotonePath]:
-    """Depth-first search for a down/right path from ``start`` to ``goal``.
+    """The down/right path from ``start`` to ``goal`` that avoids ``blocked``.
 
     Returns the path whose move string is lexicographically smallest under
     Right < Down (with ``right_first``), i.e. the highest feasible monotone
-    path, or None when no monotone path avoids the blocked cells.  Dead
-    ends are memoized, so every cell of the start-goal bounding box is
-    expanded at most once and the cost is O(area of the box).
+    path, or None when no monotone path avoids the blocked cells.  Only
+    the rows of the start-goal bounding box are read, and the cost is one
+    big-int step per box row (see ``_reach_path``).
     """
     if not grid.is_free(start) or not grid.is_free(goal):
         return None
-    kernel = _GridKernel(grid)
-    for cell in blocked:
-        if grid.in_bounds(cell):
-            kernel.free[kernel.cid(cell)] = 0
-    path = _monotone_ids(
-        kernel.free, kernel.stride, kernel.cid(start), kernel.cid(goal), right_first, stats
-    )
-    return None if path is None else MonotonePath(tuple(kernel.cells(path)))
+    if goal.col < start.col or goal.row < start.row:
+        return None
+    w = grid.width
+    rows = _bit_rows(grid, range(start.row, goal.row + 1))
+    for col, row in blocked:
+        if row in rows and 0 <= col < w:
+            rows[row] &= ~(1 << (w - 1 - col))
+    path = _reach_path(rows, w, start, goal, right_first, stats)
+    return None if path is None else MonotonePath(tuple(_id_cells(path, w)))
 
 
-def _monotone_ids(
-    free: bytearray,
-    stride: int,
-    start: int,
-    goal: int,
+def _bit_rows(grid: GridMap, rows: range) -> dict[int, int]:
+    """Each row of ``rows`` as an int whose bit ``width - 1 - c`` is set
+    where column ``c`` is free."""
+    w, free = grid.width, grid.free
+    return {r: int(free[r * w : (r + 1) * w].translate(_DIGITS), 2) for r in rows}
+
+
+def _reach_path(
+    rows: dict[int, int],
+    width: int,
+    start: Cell,
+    goal: Cell,
     right_first: bool,
     stats: Optional[SolverStats],
 ) -> Optional[list[int]]:
-    """``plan_monotone_path`` over the kernel's framed cell ids: ``free[cid]``
-    is 0 for cells the path may not enter, a right move adds 1 and a down
-    move adds ``stride``.  Dead ends are zeroed in ``free`` during the search and set
-    back to 1 before it returns."""
-    goal_col = goal % stride
-    if goal_col < start % stride or goal < start or not (free[start] and free[goal]):
-        return None
-    right = 0 if right_first else 1  # the try, first or second, that goes right
-    # tried[i]: moves tried at path[i] when path[i + 1] was entered.
-    path, tried, dead = [start], [], []
-    cur, k, visited = start, 0, 1
-    while cur != goal:
-        # Take cur's next move that stays in the goal's box and enters a
-        # free cell; with none left, cur is a dead end.
-        nxt = -1
-        while nxt < 0 and k < 2:
-            if k == right:
-                nxt = cur + 1 if cur % stride < goal_col and free[cur + 1] else -1
-            else:
-                nxt = cur + stride if cur + stride <= goal and free[cur + stride] else -1
-            k += 1
-        if nxt >= 0:
-            path.append(nxt)
-            tried.append(k)
-            cur, k = nxt, 0
-            visited += 1
-        else:
-            free[cur] = 0
-            dead.append(cur)
-            path.pop()
-            if not path:
-                break
-            cur, k = path[-1], tried.pop()
-    for cid in dead:
-        free[cid] = 1
+    """``plan_monotone_path`` over row ints: ``rows[r]`` holds the cells of
+    row ``r`` a path may enter, column ``c`` at bit ``width - 1 - c``, so
+    that a right move goes to the next lower bit.  ``start`` is not right
+    of or below ``goal``.  Returns the path as framed ids
+    ``(row + 1) * width + col``, or None.  The sweep and the walk are the
+    module docstring's."""
+    (sc, sr), (gc, gr) = start, goal
+    hi, lo = width - 1 - sc, width - 1 - gc
+    box = (2 << hi) - (1 << lo)
+    reach, seeds = [], 1 << lo
+    for r in range(gr, sr - 1, -1):
+        m = rows[r] & box
+        seeds &= m  # the open box cells whose lower neighbour reaches the goal
+        if not seeds:
+            break
+        seeds = m & ~(m + seeds) | seeds  # and those reaching a seed by right moves
+        reach.append(seeds)
     if stats is not None:
-        stats.visited_cells += visited
-    return path or None
+        stats.visited_cells += (gr - r + 1) * (hi - lo + 1)
+    if not seeds >> hi & 1:
+        return None
+    # Walk down from the start.  A cell of a reach set is the goal or has a
+    # right or lower neighbour in a reach set, so in each row the path goes
+    # right from bit b to bit e, where the preferred move stops, then down.
+    # reach runs bottom up: reach[i - 1] is the row below reach[i].
+    path, cid, b = [], (sr + 1) * width + sc, hi
+    for i in range(len(reach) - 1, -1, -1):
+        if right_first:  # right while the right cell reaches the goal
+            e = (((1 << b) - 1) & ~reach[i]).bit_length()
+        elif i:  # right until the cell below reaches the goal
+            e = (((2 << b) - 1) & reach[i - 1]).bit_length() - 1
+        else:  # right to the goal
+            e = lo
+        path += range(cid, cid + b - e + 1)
+        cid += b - e + width
+        b = e
+    return path
 
 
 def weakly_above(q: MonotonePath, p: MonotonePath) -> bool:
@@ -215,27 +249,27 @@ def solve_two_dir(
     if not check_two_directional(instance):
         return None
 
-    # The kernel is local, so its free mask doubles as the planner's: it
-    # also bars the group's planned paths and earlier groups' goals.
-    kernel = _GridKernel(instance.grid)
-    free, stride = kernel.free, kernel.stride
+    # One int per row holds the cells a path may enter: free and off the
+    # goals of groups already planned.  Each group plans on a copy, in
+    # which every path but the group's last bars its cells for the rest.
+    w = instance.grid.width
+    rows = _bit_rows(instance.grid, range(instance.grid.height))
     found: dict[int, list[int]] = {}
     for group in partition_diagonals(instance):
+        barred = rows.copy()
         for agent in group:
-            path = _monotone_ids(
-                free, stride, kernel.cid(agent.start), kernel.cid(agent.goal), right_first, stats
-            )
+            path = _reach_path(barred, w, agent.start, agent.goal, right_first, stats)
             if path is None:
                 return None
             if stats is not None:
                 stats.planned_agents += 1
             found[agent.id] = path
-            for cid in path:
-                free[cid] = 0
-        for agent in group:  # reopen the paths, but not their goals
-            for cid in found[agent.id][:-1]:
-                free[cid] = 1
+            if agent is not group[-1]:
+                for row, col in map(divmod, path, repeat(w)):  # open, so xor clears
+                    barred[row - 1] ^= 1 << (w - 1 - col)
+        for agent in group:
+            rows[agent.goal.row] &= ~(1 << (w - 1 - agent.goal.col))
 
     return Solution(
-        tuple(TimedPath(tuple(kernel.cells(found[a.id]))) for a in instance.agents)
+        tuple(TimedPath(tuple(_id_cells(found[a.id], w))) for a in instance.agents)
     )
