@@ -69,6 +69,10 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _search_limits(args: argparse.Namespace) -> tuple[ConflictModel, SearchBudget]:
+    return _conflict_model(args.conflicts), SearchBudget(args.budget, args.timeout)
+
+
 def _cmd_compile(args: argparse.Namespace) -> int:
     try:
         formula = parse_formula(Path(args.formula).read_text())
@@ -111,8 +115,7 @@ def _cmd_solve2dir(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load_instance(args.map, args.agents)
-    model = _conflict_model(args.conflicts)
-    budget = SearchBudget(max_states=args.budget, max_seconds=args.timeout)
+    model, budget = _search_limits(args)
     if args.mode == "indopt":
         witness = exists_individually_optimal(instance, model, budget)
     elif args.mode == "makespan-le":
@@ -145,8 +148,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_delta(args: argparse.Namespace) -> int:
     instance = _load_instance(args.map, args.agents)
-    model = _conflict_model(args.conflicts)
-    budget = SearchBudget(max_states=args.budget, max_seconds=args.timeout)
+    model, budget = _search_limits(args)
     try:
         value = delta(instance, model, budget)
     except NoSolutionError:
@@ -217,6 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
         "two-direction instances, run exhaustive oracles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    conflicts = argparse.ArgumentParser(add_help=False)
+    conflicts.add_argument("--conflicts", default="vertex,edge")
+    search = argparse.ArgumentParser(add_help=False, parents=[conflicts])
+    search.add_argument("--budget", type=int, default=5_000_000)
+    search.add_argument("--timeout", type=_seconds, metavar="SECONDS", help="wall-time budget")
 
     p = sub.add_parser("compile", help="lower a formula file to map/agents/meta files")
     p.add_argument("formula")
@@ -231,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve2dir)
 
-    p = sub.add_parser("oracle", help="exhaustive decision procedures")
+    p = sub.add_parser("oracle", parents=[search], help="exhaustive decision procedures")
     p.add_argument("map")
     p.add_argument("agents")
     p.add_argument(
@@ -241,26 +248,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--bound", type=int)
     p.add_argument("--objective", choices=("flowtime", "makespan"))
-    p.add_argument("--conflicts", default="vertex,edge")
-    p.add_argument("--budget", type=int, default=5_000_000)
-    p.add_argument("--timeout", type=_seconds, metavar="SECONDS", help="wall-time budget")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("delta", help="optimal flowtime minus the lower bound")
+    p = sub.add_parser("delta", parents=[search], help="optimal flowtime minus the lower bound")
     p.add_argument("map")
     p.add_argument("agents")
-    p.add_argument("--conflicts", default="vertex,edge")
-    p.add_argument("--budget", type=int, default=5_000_000)
-    p.add_argument("--timeout", type=_seconds, metavar="SECONDS", help="wall-time budget")
     p.set_defaults(func=_cmd_delta)
 
-    p = sub.add_parser("verify", help="validate a solution file or a compiled layout")
+    p = sub.add_parser(
+        "verify", parents=[conflicts], help="validate a solution file or a compiled layout"
+    )
     p.add_argument("map")
     p.add_argument("agents")
     p.add_argument("--solution")
     p.add_argument("--meta")
-    p.add_argument("--conflicts", default="vertex,edge")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("render", help="draw an instance as ascii or svg")

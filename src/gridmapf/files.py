@@ -22,7 +22,7 @@ from .core import (
     TimedPath,
     _GridKernel,
 )
-from .formula import parse_formula
+from .formula import format_formula, parse_formula
 from .reduction import ChannelSpec, LadderSpec, ReductionMetadata
 
 
@@ -242,10 +242,7 @@ def write_metadata(meta: ReductionMetadata) -> str:
         lines.append(
             f"ladder {lad.owner_kind} {lad.owner_id} {lad.kind} {lad.fixed} {lad.lo} {lad.hi}"
         )
-    lines.append(f"vars {meta.formula.num_vars}")
-    for c in meta.formula.clauses:
-        lines.append(f"clause {c.id} {c.side.value} " + " ".join(map(str, c.vars)))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + format_formula(meta.formula)
 
 
 def read_metadata(text: str) -> ReductionMetadata:

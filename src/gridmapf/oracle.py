@@ -97,6 +97,7 @@ class _Compiled:
     search within the bound reads.  With ``full`` they are the kernel's
     memoized fields, exact everywhere, for the flowtime A* and for callers
     that pass the kernel of one grid to decide many instances on it.
+    ``goals``, cell ids in agent order, replace the agents' own goals.
     """
 
     def __init__(
@@ -105,6 +106,7 @@ class _Compiled:
         kernel: Optional[_GridKernel] = None,
         bound: Optional[int] = None,
         full: bool = False,
+        goals: Optional[tuple[int, ...]] = None,
     ) -> None:
         kernel = kernel or _GridKernel(instance.grid)
         dirs = instance.directions
@@ -112,7 +114,7 @@ class _Compiled:
         self.cells = kernel.cells
         self.steps = kernel.steps(dirs)
         self.starts = tuple(kernel.cid(a.start) for a in instance.agents)
-        self.goals = tuple(kernel.cid(a.goal) for a in instance.agents)
+        self.goals = goals or tuple(kernel.cid(a.goal) for a in instance.agents)
         self.dist = [
             kernel.dist_to(g, dirs) if full else kernel.dist_to_near(s, g, dirs, bound)
             for s, g in zip(self.starts, self.goals)
@@ -503,32 +505,28 @@ def delta(
     return cost - comp.lower_bound
 
 
-def _team_assignments(instance: Instance) -> Iterator[dict[int, Cell]]:
-    """Every within-team bijection of agents to team targets, in fixed order."""
-    assert instance.teams is not None
-    teams = sorted(instance.teams)
-    member_lists = [
-        [a.id for a in instance.agents if a.team == team] for team in teams
-    ]
-    target_lists = [sorted(instance.teams[team]) for team in teams]
-    perms_per_team = [
-        list(itertools.permutations(targets)) for targets in target_lists
-    ]
-    for combo in itertools.product(*perms_per_team):
-        assignment: dict[int, Cell] = {}
-        for members, perm in zip(member_lists, combo):
-            for agent_id, target in zip(members, perm):
-                assignment[agent_id] = target
-        yield assignment
+def _bijections(options: Sequence[Sequence[tuple[int, int]]], limit: int) -> Iterator[tuple]:
+    """Every choice of one target per agent from its (target, cost) options,
+    with targets pairwise distinct and costs summing to at most ``limit``, in
+    lexicographic order of the options.  A partial choice is dropped once its
+    cost plus each later agent's cheapest cost exceeds ``limit``."""
+    if not all(options):
+        return
+    # rest[k]: the least cost that agents k, k+1, ... add
+    rest = [sum(min(c for _, c in o) for o in options[k:]) for k in range(len(options) + 1)]
 
+    def extend(chosen: tuple, spent: int) -> Iterator[tuple]:
+        k = len(chosen)
+        if spent + rest[k] > limit:
+            return
+        if k == len(options):
+            yield chosen
+            return
+        for target, cost in options[k]:
+            if target not in chosen:
+                yield from extend(chosen + (target,), spent + cost)
 
-def relabel_with_assignment(instance: Instance, assignment: dict[int, Cell]) -> Instance:
-    """Labeled copy of a colored instance with goals fixed by ``assignment``."""
-    agents = tuple(
-        type(a)(id=a.id, start=a.start, goal=assignment[a.id], team=a.team)
-        for a in instance.agents
-    )
-    return Instance(instance.grid, agents, instance.directions, teams=None)
+    yield from extend((), 0)
 
 
 def two_colored_decide(
@@ -544,8 +542,8 @@ def two_colored_decide(
     ``objective`` is ``"flowtime"`` or ``"makespan"``; one budget covers the
     whole call.  Flowtime below the assignment-minimal lower bound is NO and
     at it is one joint search (``_team_descent``).  Above it, and for
-    makespan, every within-team bijection is decided in turn, once its
-    distances to its targets leave the bound within reach.
+    makespan, each within-team bijection whose distances to its targets
+    leave the bound within reach (``_bijections``) is decided in turn.
     """
     if instance.teams is None:
         raise ValueError("instance has no teams")
@@ -553,26 +551,28 @@ def two_colored_decide(
         raise ValueError(f"unknown objective {objective!r}")
     clock = _BudgetClock(budget)
     kernel = _GridKernel(instance.grid)
-    if objective == "flowtime":
+    makespan = objective == "makespan"
+    if not makespan:
         least = _matching_lower_bound(instance, kernel)
         if least is None or bound < least:
             return Witness(False, None)
         if bound == least:
             return _team_descent(instance, kernel, bound, model, clock)
-    dirs = instance.directions
-    starts = [kernel.cid(a.start) for a in instance.agents]
-    fields = {c: kernel.dist_to(kernel.cid(c), dirs) for cs in instance.teams.values() for c in cs}
-    for assignment in _team_assignments(instance):
-        # each agent's distance to its target rejects most bijections unbuilt
-        lengths = [fields[assignment[a.id]][s] for a, s in zip(instance.agents, starts)]
-        spent = max(lengths, default=0) if objective == "makespan" else sum(lengths)
-        if min(lengths, default=0) < 0 or spent > bound:
-            continue
-        comp = _Compiled(relabel_with_assignment(instance, assignment), kernel, full=True)
-        if objective == "makespan":
-            witness = _arrive_by(comp, [bound] * len(lengths), model, clock)
-        elif spent == bound:
-            witness = _arrive_by(comp, lengths, model, clock)
+    # teams in label order, members in instance order; makespan targets cost 0
+    order = sorted(range(instance.num_agents), key=lambda i: instance.agents[i].team)
+    options = []
+    for i in order:
+        start = kernel.cid(instance.agents[i].start)
+        ends = map(kernel.cid, sorted(instance.teams[instance.agents[i].team]))
+        reach = [(t, kernel.dist_to(t, instance.directions)[start]) for t in ends]
+        options.append([(t, 0 if makespan else d) for t, d in reach if 0 <= d <= bound])
+    for targets in _bijections(options, bound):
+        goals = tuple(t for _, t in sorted(zip(order, targets)))
+        comp = _Compiled(instance, kernel, full=True, goals=goals)
+        if makespan:
+            witness = _arrive_by(comp, [bound] * len(goals), model, clock)
+        elif comp.lower_bound == bound:
+            witness = _arrive_by(comp, comp.lengths, model, clock)
         else:
             try:
                 cost, solution = _optimal_flowtime(comp, model, clock)

@@ -5,9 +5,11 @@ each within-team bijection of agents to targets in turn and running the
 labeled oracles on the relabeled instance, and the lower bound was the
 least labeled lower bound over all bijections.  Both take one search per
 bijection, ``prod(k!)`` of them, so they serve only small instances.
-Makespan is still decided per bijection in the library, but without
-searching a bijection that some agent's distance already rules out; the
-reference searches them all.
+Makespan is still decided per bijection in the library, but it only
+enumerates the bijections that every agent's distance leaves within the
+bound (``oracle._bijections``); the reference searches them all, and
+``reference_bijections`` is the library's old enumeration of them: every
+product of within-team permutations, then a filter on the distances.
 """
 
 import itertools
@@ -32,6 +34,22 @@ def labeled_instances(instance):
         goal = {a.id: cell for group, perm in zip(members, combo) for a, cell in zip(group, perm)}
         agents = tuple(AgentTask(a.id, a.start, goal[a.id], a.team) for a in instance.agents)
         yield Instance(instance.grid, agents, instance.directions)
+
+
+def reference_bijections(teams, limit, makespan=False):
+    """Each bijection whose costs are all finite and sum to at most ``limit``
+    (for makespan: whose greatest cost is at most ``limit``), in the order of
+    the product of every team's permutations.  ``teams[i][m][j]`` is the
+    cost of member m of team i to the team's target j, or None when out of
+    reach; a bijection is the tuple of each member's target ``(i, j)``.
+    """
+    orders = [itertools.permutations(range(len(rows))) for rows in teams]
+    for combo in itertools.product(*map(list, orders)):
+        costs = [rows[m][j] for rows, perm in zip(teams, combo) for m, j in enumerate(perm)]
+        if None in costs:
+            continue
+        if (max(costs, default=0) if makespan else sum(costs)) <= limit:
+            yield tuple((i, j) for i, perm in enumerate(combo) for j in perm)
 
 
 def reference_lower_bound(instance):

@@ -2,6 +2,7 @@
 against the per-assignment reference in ``team_reference``."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -25,12 +26,14 @@ from gridmapf.formula import parse_formula
 from gridmapf.oracle import (
     BudgetExceededError,
     SearchBudget,
+    _bijections,
     _min_cost_matching,
     assignment_minimal_lower_bound,
     two_colored_decide,
 )
-from gridmapf.reduction import compile_formula, two_colored_variant
+from gridmapf.reduction import compile_formula, makespan_variant, two_colored_variant
 from team_reference import (
+    reference_bijections,
     reference_flowtime_decide,
     reference_lower_bound,
     reference_makespan_decide,
@@ -65,6 +68,37 @@ def test_min_cost_matching_matches_every_permutation():
             if all(cost[i][j] is not None for i, j in enumerate(perm))
         ]
         assert _min_cost_matching(cost) == min(totals, default=None)
+
+
+@st.composite
+def team_costs(draw):
+    """Up to three teams of up to four members, at most six agents in all;
+    each member's cost to each of its team's targets, or None out of reach."""
+    sizes = draw(st.lists(st.integers(0, 4), max_size=3).filter(lambda s: sum(s) <= 6))
+    cost = st.one_of(st.none(), st.integers(0, 5))
+    return [[draw(st.lists(cost, min_size=k, max_size=k)) for _ in range(k)] for k in sizes]
+
+
+@settings(max_examples=500, deadline=None)
+@given(team_costs(), st.data())
+def test_bijections_match_product_of_permutations(teams, data):
+    # the same bijections in the same order, for limits from below the least
+    # sum (or greatest cost, for makespan) to above the greatest
+    members = [(i, m) for i, rows in enumerate(teams) for m in range(len(rows))]
+    sums = [
+        sum(teams[i][m][j] for (i, m), (_, j) in zip(members, b))
+        for b in reference_bijections(teams, math.inf)
+    ]
+    limit = data.draw(st.integers(min(sums, default=0) - 2, max(sums, default=0) + 2))
+    options = [
+        [((i, j), c) for j, c in enumerate(teams[i][m]) if c is not None] for i, m in members
+    ]
+    assert list(_bijections(options, limit)) == list(reference_bijections(teams, limit))
+    # makespan: only the targets within the limit, each at cost 0
+    limit = data.draw(st.integers(-2, 7))
+    options = [[(t, 0) for t, c in opts if c <= limit] for opts in options]
+    expected = list(reference_bijections(teams, limit, makespan=True))
+    assert list(_bijections(options, limit)) == expected
 
 
 @st.composite
@@ -112,11 +146,35 @@ def test_makespan_matches_per_assignment_reference(inst, bound):
         for model in ALL_MODELS:
             witness = two_colored_decide(inst, "makespan", bound, model, BUDGET)
             expected = reference_makespan_decide(inst, bound, model, BUDGET)
-            assert witness.decision == expected.decision, model
+            # the first bijection with a YES in the same order gives the same witness
+            assert witness == expected, model
             if witness.decision:
                 check_witness(inst, witness, model, bound, "makespan")
     except BudgetExceededError:
         reject()
+
+
+def test_makespan_witness_follows_team_label_order():
+    # On this 2x3 grid several bijections meet makespan 4, and the first in
+    # the order of the sorted team labels is a different one when team "a"
+    # is renamed to sort after "b": the witness is that first one's.
+    grid = GridMap(2, 3, frozenset({Cell(0, 2)}))
+    starts = [Cell(1, 0), Cell(1, 1), Cell(0, 0), Cell(1, 2)]
+    targets = [Cell(0, 1), Cell(1, 1), Cell(0, 0), Cell(1, 0)]
+    witnesses = []
+    for first in ("a", "c"):
+        labels = [first, first, "b", "b"]
+        inst = Instance(
+            grid,
+            tuple(AgentTask(i, *task) for i, task in enumerate(zip(starts, targets, labels))),
+            FOUR_DIRECTIONS,
+            teams={first: frozenset(targets[:2]), "b": frozenset(targets[2:])},
+        )
+        witness = two_colored_decide(inst, "makespan", 4)
+        assert witness == reference_makespan_decide(inst, 4, VERTEX_EDGE), first
+        check_witness(inst, witness, VERTEX_EDGE, 4, "makespan")
+        witnesses.append(witness)
+    assert witnesses[0] != witnesses[1]
 
 
 def test_compiled_formulas_match_per_assignment_reference(corpus_compiled):
@@ -167,18 +225,24 @@ def test_unsat_twin_at_six_is_one_small_search():
     assert not witness.decision
 
 
-def test_bijections_out_of_reach_are_never_built(monkeypatch):
-    # Three a's cross an open 4x4 grid along rows 0-2.  Of the 3! bijections
-    # only the straight one keeps every distance within 3, or the distance
-    # sum within 10; the other five are rejected before any instance is built.
-    builds = []
+@pytest.fixture
+def builds(monkeypatch):
+    """The instance of each ``oracle._Compiled`` built, in order."""
+    built = []
 
     class CountingCompiled(oracle._Compiled):
         def __init__(self, *args, **kwargs):
-            builds.append(args[0])
+            built.append(args[0])
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "_Compiled", CountingCompiled)
+    return built
+
+
+def test_bijections_out_of_reach_are_never_built(builds):
+    # Three a's cross an open 4x4 grid along rows 0-2.  Of the 3! bijections
+    # only the straight one keeps every distance within 3, or the distance
+    # sum within 10; the other five are rejected before any instance is built.
     targets = [Cell(3, row) for row in range(3)]
     inst = Instance(
         GridMap(4, 4),
@@ -194,3 +258,18 @@ def test_bijections_out_of_reach_are_never_built(monkeypatch):
         assert (witness.decision, len(builds)) == (decision, built), (objective, bound)
         reference = {"makespan": reference_makespan_decide, "flowtime": reference_flowtime_decide}
         assert reference[objective](inst, bound, VERTEX_EDGE).decision == decision
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_makespan_at_scale_builds_one_bijection(builds, n):
+    # Of the twin's within-team bijections (1.46e11 at n=16) only one keeps
+    # every agent within d of its target, and only it is searched: NO.  The
+    # satisfiable family's first admissible bijection is its YES.
+    for unsat in (True, False):
+        inst, meta = makespan_variant(*compile_formula(parse_formula(family_text(n, unsat))))
+        colored = two_colored_variant(inst, meta)
+        builds.clear()
+        witness = two_colored_decide(colored, "makespan", meta.common_distance)
+        assert (witness.decision, len(builds)) == (not unsat, 1), unsat
+        if witness.decision:
+            check_witness(colored, witness, VERTEX_EDGE, meta.common_distance, "makespan")
