@@ -69,6 +69,13 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _states(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative number of states, got {text}")
+    return value
+
+
 def _search_limits(args: argparse.Namespace) -> tuple[ConflictModel, SearchBudget]:
     return _conflict_model(args.conflicts), SearchBudget(args.budget, args.timeout)
 
@@ -222,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     conflicts = argparse.ArgumentParser(add_help=False)
     conflicts.add_argument("--conflicts", default="vertex,edge")
     search = argparse.ArgumentParser(add_help=False, parents=[conflicts])
-    search.add_argument("--budget", type=int, default=5_000_000)
+    search.add_argument("--budget", type=_states, default=5_000_000)
     search.add_argument("--timeout", type=_seconds, metavar="SECONDS", help="wall-time budget")
 
     p = sub.add_parser("compile", help="lower a formula file to map/agents/meta files")

@@ -193,61 +193,54 @@ class NestingForest:
         return False
 
 
-def _contains(
-    a: Clause, b: Clause, order: dict[int, int]
-) -> bool:
-    """Interval containment a >= b, with equal intervals broken by input order."""
-    (alo, ahi), (blo, bhi) = a.interval, b.interval
-    if alo > blo or ahi < bhi:
-        return False
-    if (alo, ahi) == (blo, bhi):
-        return order[a.id] < order[b.id]
-    return True
-
-
 def validate_planar_monotone(formula: MonotoneFormula) -> NestingForest:
     """Check the interval-laminar embedding discipline and build the forest.
 
     Per side, clause intervals must be pairwise disjoint or nested (equal
-    intervals nest outer-first by input order) and at most one root may
-    remain.  Crossing intervals or multiple roots raise ``EmbeddingError``.
+    intervals nest outer-first by input order; intervals that share only an
+    endpoint variable cross) and at most one root may remain.  Crossing
+    intervals or multiple roots raise ``EmbeddingError``.
+
+    One sweep per side visits the clauses by left end ascending, then right
+    end descending, then input order, so each clause comes after every
+    clause that contains it.  A stack holds the open intervals, each nested
+    in the one below; once those ending left of the current clause are
+    popped, the top either crosses the clause or is its parent.
     """
     order = {c.id: i for i, c in enumerate(formula.clauses)}
-    intervals: dict[int, tuple[int, int]] = {}
-    side_of: dict[int, Side] = {}
+    intervals = {c.id: c.interval for c in formula.clauses}
+    side_of = {c.id: c.side for c in formula.clauses}
     parent: dict[int, Optional[int]] = {}
-    children: dict[int, list[int]] = {}
+    children: dict[int, list[int]] = {c.id: [] for c in formula.clauses}
+    levels = dict.fromkeys(order, 0)
     roots: dict[Side, Optional[int]] = {Side.POSITIVE: None, Side.NEGATIVE: None}
 
     for side in (Side.POSITIVE, Side.NEGATIVE):
         group = formula.side_clauses(side)
-        for a, b in itertools.combinations(group, 2):
-            (alo, ahi), (blo, bhi) = a.interval, b.interval
-            disjoint = ahi < blo or bhi < alo
-            nested = _contains(a, b, order) or _contains(b, a, order)
-            if not disjoint and not nested:
+        sweep = sorted(group, key=lambda c: (c.interval[0], -c.interval[1]))  # ties keep input order
+        stack: list[Clause] = []
+        for c in sweep:
+            lo, hi = c.interval
+            while stack and stack[-1].interval[1] < lo:
+                stack.pop()
+            if stack and stack[-1].interval[1] < hi:
+                a, b = sorted((stack[-1], c), key=lambda d: order[d.id])
                 raise EmbeddingError(
                     f"clauses {a.id} and {b.id}: intervals {a.interval} and "
                     f"{b.interval} cross"
                 )
-        side_roots = []
-        for c in group:
-            intervals[c.id] = c.interval
-            side_of[c.id] = side
-            containing = [d for d in group if d.id != c.id and _contains(d, c, order)]
-            if not containing:
-                parent[c.id] = None
-                side_roots.append(c.id)
-            else:
-                best = containing[0]
-                for d in containing[1:]:
-                    if _contains(best, d, order):
-                        best = d
-                parent[c.id] = best.id
-            children.setdefault(c.id, [])
-        for c in group:
+            parent[c.id] = stack[-1].id if stack else None
+            stack.append(c)
+        for c in reversed(sweep):  # children before their parents
             p = parent[c.id]
             if p is not None:
+                levels[p] = max(levels[p], levels[c.id] + 1)
+        side_roots = []
+        for c in group:
+            p = parent[c.id]
+            if p is None:
+                side_roots.append(c.id)
+            else:
                 children[p].append(c.id)
         if len(side_roots) > 1:
             raise EmbeddingError(
@@ -257,22 +250,11 @@ def validate_planar_monotone(formula: MonotoneFormula) -> NestingForest:
         if side_roots:
             roots[side] = side_roots[0]
 
-    levels: dict[int, int] = {}
-
-    def level(cid: int) -> int:
-        if cid not in levels:
-            kids = children.get(cid, [])
-            levels[cid] = 0 if not kids else 1 + max(level(k) for k in kids)
-        return levels[cid]
-
-    for c in formula.clauses:
-        level(c.id)
-
     return NestingForest(
         intervals=intervals,
         side_of=side_of,
         parent=parent,
-        children={cid: tuple(sorted(kids, key=lambda k: order[k])) for cid, kids in children.items()},
+        children={cid: tuple(kids) for cid, kids in children.items()},
         levels=levels,
         roots=roots,
     )

@@ -44,6 +44,8 @@ class SearchBudget:
     max_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if self.max_states < 0:
+            raise ValueError(f"max_states must not be negative, got {self.max_states}")
         if self.max_seconds is not None and self.max_seconds < 0:
             raise ValueError(f"max_seconds must not be negative, got {self.max_seconds}")
 

@@ -720,11 +720,17 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
     """Independent structural checks of a compiled instance.
 
     Every check recomputes what it needs with plain BFS and counting; none
-    of them trusts the compiler's arithmetic.
+    of them trusts the compiler's arithmetic.  Raises ``ValueError`` when
+    the instance's agent ids are not the metadata's clause ids.
     """
     checks: list[CheckResult] = []
     agents = {a.id: a for a in instance.agents}
     clauses = meta.formula.clauses
+    clause_ids = {c.id for c in clauses}
+    unmatched = [f"clause {c.id} has no agent" for c in clauses if c.id not in agents]
+    unmatched += [f"agent {a} has no clause" for a in agents if a not in clause_ids]
+    if unmatched:
+        raise ValueError(f"metadata does not match the instance: {unmatched[0]}")
     grid = instance.grid
     kernel = _GridKernel(grid)
     at, s = kernel.at, kernel.stride

@@ -70,6 +70,14 @@ class TestCompile:
         (workdir / "bad.formula").write_text("vars 1\nclause 1 + 7\n")
         assert run("compile", workdir / "bad.formula", "--out-prefix", workdir / "x") == 1
 
+    def test_deep_chain_reports_the_cell_cap(self, workdir, capsys):
+        # 400 positive clauses, each nested in the one before: the nesting
+        # validates at any depth and the layout stops at its cell cap.
+        lines = [f"clause {i} + {i} {801 - i}" for i in range(1, 401)]
+        (workdir / "deep.formula").write_text("vars 800\n" + "\n".join(lines) + "\n")
+        assert run("compile", workdir / "deep.formula", "--out-prefix", workdir / "deep") == 1
+        assert "over the cap of 2000000" in capsys.readouterr().err
+
 
 class TestSolveAndOracle:
     def test_solve2dir_yes_writes_solution(self, workdir, capsys):
@@ -132,6 +140,15 @@ class TestSolveAndOracle:
     def test_delta_prints_value(self, workdir, capsys):
         assert run("delta", workdir / "dr.map", workdir / "no.agents") == 0
         assert capsys.readouterr().out.strip() == "1"
+
+    def test_negative_budget_is_a_usage_error(self, workdir, capsys):
+        files = (workdir / "dr.map", workdir / "yes.agents")
+        assert run("oracle", *files, "--budget", "-5") == 2
+        assert "non-negative number of states" in capsys.readouterr().err
+        assert run("delta", *files, "--budget", "-1") == 2
+        capsys.readouterr()
+        assert run("oracle", *files, "--budget", "0") == 2
+        assert capsys.readouterr().err == "resource error: state budget of 0 exhausted\n"
 
     def test_timeout_zero_exits_two(self, workdir):
         # Two head-on pairs crossing at the centre: no individually optimal
@@ -233,6 +250,20 @@ class TestCompiledPipeline:
         assert run("oracle", workdir / "u.map", workdir / "u.agents", "--mode", "indopt") == 1
         assert run("sat", workdir / "sat.formula") == 0
         assert run("sat", workdir / "unsat.formula") == 1
+
+    def test_verify_meta_of_another_formula_exits_one(self, workdir, capsys):
+        (workdir / "three.formula").write_text("vars 3\nclause 1 + 1 3\nclause 2 - 1 3\nclause 3 + 2\n")
+        run("compile", workdir / "sat.formula", "--out-prefix", workdir / "two")
+        run("compile", workdir / "three.formula", "--out-prefix", workdir / "three")
+        capsys.readouterr()
+        assert run("verify", workdir / "two.map", workdir / "two.agents", "--meta", workdir / "three.meta") == 1
+        assert capsys.readouterr().err == (
+            "error: metadata does not match the instance: clause 3 has no agent\n"
+        )
+        assert run("verify", workdir / "three.map", workdir / "three.agents", "--meta", workdir / "two.meta") == 1
+        assert capsys.readouterr().err == (
+            "error: metadata does not match the instance: agent 3 has no clause\n"
+        )
 
     def test_two_colored_oracle(self, workdir):
         run(

@@ -2,8 +2,11 @@
 
 import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmapf.formula import (
     Clause,
@@ -17,6 +20,7 @@ from gridmapf.formula import (
     parse_formula,
     validate_planar_monotone,
 )
+from nesting_reference import reference_validate_planar_monotone
 
 
 def nesting_levels(forest):
@@ -176,6 +180,77 @@ class TestNesting:
 
         for cid in ids:
             assert forest.levels[cid] == chain_below(cid)
+
+
+    def test_equal_intervals_three_deep(self):
+        f = parse_formula("vars 3\nclause 7 + 1 3\nclause 3 + 1 3\nclause 9 + 1 3\n")
+        forest = validate_planar_monotone(f)
+        assert forest.parent == {7: None, 3: 7, 9: 3}
+        assert forest.children == {7: (3,), 3: (9,), 9: ()}
+        assert forest.levels == {7: 2, 3: 1, 9: 0}
+
+    def test_shared_endpoint_variable_crosses(self):
+        # named in input order, whichever interval starts first
+        f = parse_formula("vars 3\nclause 5 - 2 3\nclause 4 - 1 2\nclause 6 - 1 3\n")
+        with pytest.raises(EmbeddingError, match=r"^clauses 5 and 4: intervals \(2, 3\) and \(1, 2\) cross$"):
+            validate_planar_monotone(f)
+
+    def test_two_thousand_deep_chain(self):
+        depth = 2000
+        f = MonotoneFormula(
+            2 * depth,
+            tuple(Clause(i, Side.POSITIVE, (i, 2 * depth + 1 - i)) for i in range(1, depth + 1)),
+        )
+        forest = validate_planar_monotone(f)
+        assert forest.roots == {Side.POSITIVE: 1, Side.NEGATIVE: None}
+        assert forest.levels[1] == depth - 1
+        assert forest.parent == {i: (i - 1 if i > 1 else None) for i in range(1, depth + 1)}
+        assert forest.levels == {i: depth - i for i in range(1, depth + 1)}
+
+
+@st.composite
+def small_formulas(draw):
+    """Up to 8 clauses of both signs with distinct, arbitrary ids."""
+    n = draw(st.integers(1, 7))
+    ids = draw(st.lists(st.integers(-20, 40), max_size=8, unique=True))
+    clauses = tuple(
+        Clause(
+            cid,
+            draw(st.sampled_from(Side)),
+            tuple(draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True))),
+        )
+        for cid in ids
+    )
+    return MonotoneFormula(n, clauses)
+
+
+def crosses(a, b):
+    """Overlapping intervals neither of which contains the other."""
+    (alo, ahi), (blo, bhi) = sorted((a.interval, b.interval))
+    return alo < blo <= ahi < bhi
+
+
+@settings(max_examples=1000, deadline=None)
+@given(small_formulas())
+def test_sweep_matches_the_pair_scan(formula):
+    try:
+        expected = reference_validate_planar_monotone(formula)
+    except EmbeddingError as e:
+        with pytest.raises(EmbeddingError) as got:
+            validate_planar_monotone(formula)
+        message = str(got.value)
+        assert ("cross" in message) == ("cross" in str(e))
+        if "cross" in message:
+            # With several crossing pairs the sweep may name another pair.
+            ids = re.fullmatch(r"clauses (-?\d+) and (-?\d+): intervals .* cross", message)
+            a, b = (formula.clause_by_id(int(i)) for i in ids.groups())
+            assert a.side is b.side and crosses(a, b)
+            assert formula.clauses.index(a) < formula.clauses.index(b)
+            assert message == f"clauses {a.id} and {b.id}: intervals {a.interval} and {b.interval} cross"
+        else:
+            assert message == str(e)
+        return
+    assert validate_planar_monotone(formula) == expected
 
 
 class TestBruteForceSat:

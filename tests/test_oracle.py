@@ -184,6 +184,11 @@ class TestExistsIndividuallyOptimal:
         with pytest.raises(ValueError):
             SearchBudget(max_seconds=-1)
 
+    def test_negative_state_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_states must not be negative, got -3"):
+            SearchBudget(max_states=-3)
+        assert SearchBudget(max_states=0).max_states == 0
+
     def test_agent_reorder_invariance(self):
         tasks = [((0, 0), (2, 2)), ((2, 0), (0, 2)), ((1, 0), (1, 2))]
         base = inst4(tasks)

@@ -161,6 +161,17 @@ class TestVerifyConstruction:
             assert report.ok, (name, report.failures())
             assert len(report.checks) == 8
 
+    def test_agents_not_matching_the_clauses_raise(self, corpus_compiled):
+        inst, meta = corpus_compiled["two-clause-sat"]
+        one_agent = Instance(inst.grid, inst.agents[:1], inst.directions)
+        with pytest.raises(ValueError, match="^metadata does not match the instance: clause 2 has no agent$"):
+            verify_construction(one_agent, meta)
+        one_clause = dataclasses.replace(
+            meta, formula=dataclasses.replace(meta.formula, clauses=meta.formula.clauses[:1])
+        )
+        with pytest.raises(ValueError, match="^metadata does not match the instance: agent 2 has no clause$"):
+            verify_construction(inst, one_clause)
+
     def test_equalized_start_distances_fail_uniqueness(self, corpus_compiled):
         inst, meta = corpus_compiled["siblings-unsat"]
         # slide the outer clause's start down its own leg (all free cells)
