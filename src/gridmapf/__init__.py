@@ -63,7 +63,6 @@ from .reduction import (
     LayoutError,
     ReductionMetadata,
     compile_formula,
-    compute_w,
     extract_assignment,
     makespan_variant,
     realize_solution,

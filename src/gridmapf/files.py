@@ -230,7 +230,6 @@ def read_solution(text: str, instance: Instance) -> Solution:
 def write_metadata(meta: ReductionMetadata) -> str:
     lines = [f"variant {meta.variant}"]
     lines.append(f"const W {meta.w_total}")
-    lines.append(f"const Wbound {meta.w_coarse_bound}")
     lines.append(f"const U {meta.unit}")
     lines.append(f"const L {meta.channel_length}")
     lines.append(f"const d {meta.common_distance if meta.common_distance is not None else '-'}")
@@ -291,7 +290,6 @@ def read_metadata(text: str) -> ReductionMetadata:
     return ReductionMetadata(
         variant=variant,
         w_total=consts["W"],
-        w_coarse_bound=consts.get("Wbound") or 0,
         unit=consts["U"],
         channel_length=consts["L"],
         common_distance=consts.get("d"),

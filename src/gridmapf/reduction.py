@@ -115,7 +115,6 @@ class ReductionMetadata:
 
     variant: str
     w_total: int
-    w_coarse_bound: int
     unit: int
     channel_length: int
     common_distance: Optional[int]
@@ -259,13 +258,6 @@ def _plan_columns(formula: MonotoneFormula, forest: NestingForest) -> _ColumnPla
         connector_col=connector_col,
         rightmost=rightmost,
     )
-
-
-def compute_w(formula: MonotoneFormula, forest: Optional[NestingForest] = None) -> tuple[int, int]:
-    """Final column count of the layout plus the coarse 6m a-priori bound."""
-    forest = forest or validate_planar_monotone(formula)
-    plan = _plan_columns(formula, forest)
-    return plan.width, 6 * max(1, formula.num_clauses)
 
 
 class _Layout:
@@ -507,7 +499,6 @@ def compile_formula(
     meta = ReductionMetadata(
         variant="base",
         w_total=plan.width,
-        w_coarse_bound=6 * max(1, formula.num_clauses),
         unit=unit,
         channel_length=channel_length,
         common_distance=None,
@@ -716,6 +707,19 @@ def _first_blocked(grid: GridMap, ch: ChannelSpec) -> Optional[Cell]:
     return Cell(col, row) if row <= ch.bottom_row else None
 
 
+def agents_by_clause(instance: Instance, meta: ReductionMetadata) -> dict[int, AgentTask]:
+    """The instance's agents by id.  Raises ``ValueError`` when the agent
+    ids are not the metadata's clause ids."""
+    agents = {a.id: a for a in instance.agents}
+    clauses = meta.formula.clauses
+    clause_ids = {c.id for c in clauses}
+    unmatched = [f"clause {c.id} has no agent" for c in clauses if c.id not in agents]
+    unmatched += [f"agent {a} has no clause" for a in agents if a not in clause_ids]
+    if unmatched:
+        raise ValueError(f"metadata does not match the instance: {unmatched[0]}")
+    return agents
+
+
 def verify_construction(instance: Instance, meta: ReductionMetadata) -> ConstructionReport:
     """Independent structural checks of a compiled instance.
 
@@ -724,13 +728,8 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
     the instance's agent ids are not the metadata's clause ids.
     """
     checks: list[CheckResult] = []
-    agents = {a.id: a for a in instance.agents}
+    agents = agents_by_clause(instance, meta)
     clauses = meta.formula.clauses
-    clause_ids = {c.id for c in clauses}
-    unmatched = [f"clause {c.id} has no agent" for c in clauses if c.id not in agents]
-    unmatched += [f"agent {a} has no clause" for a in agents if a not in clause_ids]
-    if unmatched:
-        raise ValueError(f"metadata does not match the instance: {unmatched[0]}")
     grid = instance.grid
     kernel = _GridKernel(grid)
     at, s = kernel.at, kernel.stride

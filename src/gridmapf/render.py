@@ -10,8 +10,10 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import Cell, Instance, Solution
-from .reduction import ReductionMetadata
+from .reduction import ReductionMetadata, agents_by_clause
 
+# Side of one cell in the SVG drawing, in pixels.
+_CELL_PX = 12
 _TEAM_COLORS = {"+": "#2ca02c", "-": "#d62728"}
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -49,22 +51,52 @@ def render_ascii(instance: Instance, solution: Optional[Solution] = None) -> str
     return "\n".join("".join(r) for r in rows) + "\n"
 
 
+def _rect(col: int, row: int, col_hi: int, row_hi: int, fill: str, cls: str = "") -> str:
+    """The rect over columns ``col..col_hi`` and rows ``row..row_hi``."""
+    cls_attr = f' class="{cls}"' if cls else ""
+    return (
+        f'<rect{cls_attr} x="{col * _CELL_PX}" y="{row * _CELL_PX}" '
+        f'width="{(col_hi - col + 1) * _CELL_PX}" height="{(row_hi - row + 1) * _CELL_PX}" '
+        f'fill="{fill}" />'
+    )
+
+
+def _layout_rects(instance: Instance, metadata: ReductionMetadata) -> list[str]:
+    """The channel, ladder and opening rects of ``metadata``.  Raises
+    ``ValueError`` when its clauses are not the instance's agents or one
+    of its rects lies off the grid."""
+    agents_by_clause(instance, metadata)
+    boxes = [
+        (ch.col, ch.top_row, ch.col, ch.bottom_row, "#ffe680", "channel")
+        for ch in metadata.channels
+    ]
+    for lad in metadata.ladders:
+        if lad.kind == "v":
+            boxes.append((lad.fixed, lad.lo, lad.fixed, lad.hi, "#ccf2f2", "ladder"))
+        else:
+            boxes.append((lad.lo, lad.fixed, lad.hi, lad.fixed, "#ccf2f2", "ladder"))
+    for name, cell in (("c", metadata.c), ("cprime", metadata.c_prime)):
+        boxes.append((*cell, *cell, "#f9c6f9", f"opening opening-{name}"))
+    grid = instance.grid
+    for col, row, col_hi, row_hi, _, cls in boxes:
+        if col < 0 or row < 0 or col_hi >= grid.width or row_hi >= grid.height:
+            raise ValueError(
+                f"metadata does not match the instance: {cls.split()[0]} at columns "
+                f"{col}..{col_hi}, rows {row}..{row_hi} lies off the "
+                f"{grid.width}x{grid.height} grid"
+            )
+    return [_rect(*box) for box in boxes]
+
+
 def render_svg(
     instance: Instance,
     solution: Optional[Solution] = None,
     metadata: Optional[ReductionMetadata] = None,
-    cell_px: int = 12,
 ) -> str:
+    """The instance as SVG, ``_CELL_PX`` pixels per cell.  Raises
+    ``ValueError`` when ``metadata`` does not fit the instance."""
     grid = instance.grid
-    w, h = grid.width * cell_px, grid.height * cell_px
-
-    def rect(cell: Cell, fill: str, cls: str = "") -> str:
-        cls_attr = f' class="{cls}"' if cls else ""
-        return (
-            f'<rect{cls_attr} x="{cell.col * cell_px}" y="{cell.row * cell_px}" '
-            f'width="{cell_px}" height="{cell_px}" fill="{fill}" />'
-        )
-
+    w, h = grid.width * _CELL_PX, grid.height * _CELL_PX
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
@@ -73,52 +105,32 @@ def render_svg(
     for row in range(grid.height):
         for col in range(grid.width):
             if not grid.is_free(Cell(col, row)):
-                parts.append(rect(Cell(col, row), "#3b3b3b"))
-
+                parts.append(_rect(col, row, col, row, "#3b3b3b"))
     if metadata is not None:
-        for ch in metadata.channels:
-            parts.append(
-                f'<rect class="channel" x="{ch.col * cell_px}" '
-                f'y="{ch.top_row * cell_px}" width="{cell_px}" '
-                f'height="{(ch.bottom_row - ch.top_row + 1) * cell_px}" '
-                f'fill="#ffe680" />'
-            )
-        for lad in metadata.ladders:
-            if lad.kind == "v":
-                x, y = lad.fixed * cell_px, lad.lo * cell_px
-                width, height = cell_px, (lad.hi - lad.lo + 1) * cell_px
-            else:
-                x, y = lad.lo * cell_px, lad.fixed * cell_px
-                width, height = (lad.hi - lad.lo + 1) * cell_px, cell_px
-            parts.append(
-                f'<rect class="ladder" x="{x}" y="{y}" width="{width}" '
-                f'height="{height}" fill="#ccf2f2" />'
-            )
-        for name, cell in (("c", metadata.c), ("cprime", metadata.c_prime)):
-            parts.append(rect(cell, "#f9c6f9", f"opening opening-{name}"))
+        parts += _layout_rects(instance, metadata)
 
     if solution is not None:
         for i, path in enumerate(solution.paths):
             color = _agent_color(instance, i)
             points = " ".join(
-                f"{cell.col * cell_px + cell_px / 2},{cell.row * cell_px + cell_px / 2}"
+                f"{cell.col * _CELL_PX + _CELL_PX / 2},{cell.row * _CELL_PX + _CELL_PX / 2}"
                 for cell in path.cells
             )
             parts.append(
                 f'<polyline class="path" points="{points}" fill="none" '
-                f'stroke="{color}" stroke-width="{cell_px / 4}" opacity="0.6" />'
+                f'stroke="{color}" stroke-width="{_CELL_PX / 4}" opacity="0.6" />'
             )
 
-    radius = cell_px * 0.35
+    radius = _CELL_PX * 0.35
     for i, agent in enumerate(instance.agents):
         color = _agent_color(instance, i)
-        cx = agent.start.col * cell_px + cell_px / 2
-        cy = agent.start.row * cell_px + cell_px / 2
+        cx = agent.start.col * _CELL_PX + _CELL_PX / 2
+        cy = agent.start.row * _CELL_PX + _CELL_PX / 2
         parts.append(
             f'<circle class="start" cx="{cx}" cy="{cy}" r="{radius}" fill="{color}" />'
         )
-        gx = agent.goal.col * cell_px + cell_px / 2
-        gy = agent.goal.row * cell_px + cell_px / 2
+        gx = agent.goal.col * _CELL_PX + _CELL_PX / 2
+        gy = agent.goal.row * _CELL_PX + _CELL_PX / 2
         parts.append(
             f'<circle class="goal" cx="{gx}" cy="{gy}" r="{radius}" fill="none" '
             f'stroke="{color}" stroke-width="2" />'

@@ -32,11 +32,9 @@ row has no seed, or when the start is not in the top row's reach set.
 Otherwise the path walks down from the start and goes right while the
 right cell is in the reach set.  A right-first depth-first search that
 memoizes its dead ends goes right exactly when the right cell can still
-reach the goal, so it returns the same path; ``right_first=False`` goes
-down whenever the cell below is in the next row's reach set, as the
-down-first search does.  Each agent costs one big-int step per box row,
-O(box area / word size) word operations and never more than O(|V|), so
-the O(N * |V|) bound holds.
+reach the goal, so it returns the same path.  Each agent costs one
+big-int step per box row, O(box area / word size) word operations and
+never more than O(|V|), so the O(N * |V|) bound holds.
 """
 
 from __future__ import annotations
@@ -145,16 +143,15 @@ def plan_monotone_path(
     start: Cell,
     goal: Cell,
     *,
-    right_first: bool = True,
     stats: Optional[SolverStats] = None,
 ) -> Optional[MonotonePath]:
     """The down/right path from ``start`` to ``goal`` that avoids ``blocked``.
 
     Returns the path whose move string is lexicographically smallest under
-    Right < Down (with ``right_first``), i.e. the highest feasible monotone
-    path, or None when no monotone path avoids the blocked cells.  Only
-    the rows of the start-goal bounding box are read, and the cost is one
-    big-int step per box row (see ``_reach_path``).
+    Right < Down, i.e. the highest feasible monotone path, or None when no
+    monotone path avoids the blocked cells.  Only the rows of the start-goal
+    bounding box are read, and the cost is one big-int step per box row
+    (see ``_reach_path``).
     """
     if not grid.is_free(start) or not grid.is_free(goal):
         return None
@@ -165,7 +162,7 @@ def plan_monotone_path(
     for col, row in blocked:
         if row in rows and 0 <= col < w:
             rows[row] &= ~(1 << (w - 1 - col))
-    path = _reach_path(rows, w, start, goal, right_first, stats)
+    path = _reach_path(rows, w, start, goal, stats)
     return None if path is None else MonotonePath(tuple(_id_cells(path, w)))
 
 
@@ -181,7 +178,6 @@ def _reach_path(
     width: int,
     start: Cell,
     goal: Cell,
-    right_first: bool,
     stats: Optional[SolverStats],
 ) -> Optional[list[int]]:
     """``plan_monotone_path`` over row ints: ``rows[r]`` holds the cells of
@@ -205,18 +201,13 @@ def _reach_path(
         stats.visited_cells += (gr - r + 1) * (hi - lo + 1)
     if not seeds >> hi & 1:
         return None
-    # Walk down from the start.  A cell of a reach set is the goal or has a
-    # right or lower neighbour in a reach set, so in each row the path goes
-    # right from bit b to bit e, where the preferred move stops, then down.
-    # reach runs bottom up: reach[i - 1] is the row below reach[i].
+    # Walk down from the start, top row first.  A cell of a reach set is
+    # the goal or has a right or lower neighbour in a reach set, so in each
+    # row the path goes right from bit b while the right cell reaches the
+    # goal, to bit e, then down.
     path, cid, b = [], (sr + 1) * width + sc, hi
-    for i in range(len(reach) - 1, -1, -1):
-        if right_first:  # right while the right cell reaches the goal
-            e = (((1 << b) - 1) & ~reach[i]).bit_length()
-        elif i:  # right until the cell below reaches the goal
-            e = (((2 << b) - 1) & reach[i - 1]).bit_length() - 1
-        else:  # right to the goal
-            e = lo
+    for row in reversed(reach):
+        e = (((1 << b) - 1) & ~row).bit_length()
         path += range(cid, cid + b - e + 1)
         cid += b - e + width
         b = e
@@ -234,15 +225,11 @@ def weakly_above(q: MonotonePath, p: MonotonePath) -> bool:
 def solve_two_dir(
     instance: Instance,
     *,
-    right_first: bool = True,
     stats: Optional[SolverStats] = None,
 ) -> Optional[Solution]:
     """Find an individually optimal solution for a down+right instance.
 
     Returns None exactly when no individually optimal solution exists.
-    ``right_first=False`` flips the single-agent tie-break to prefer down
-    moves; that variant is incomplete and only exists so tests can show
-    the preference matters.
     """
     if instance.directions.moves != frozenset({Direction.DOWN, Direction.RIGHT}):
         raise ValueError("solver requires the down+right direction set")
@@ -258,7 +245,7 @@ def solve_two_dir(
     for group in partition_diagonals(instance):
         barred = rows.copy()
         for agent in group:
-            path = _reach_path(barred, w, agent.start, agent.goal, right_first, stats)
+            path = _reach_path(barred, w, agent.start, agent.goal, stats)
             if path is None:
                 return None
             if stats is not None:

@@ -265,6 +265,20 @@ class TestCompiledPipeline:
             "error: metadata does not match the instance: agent 3 has no clause\n"
         )
 
+    def test_render_meta_of_another_formula_exits_one(self, workdir, capsys):
+        (workdir / "three.formula").write_text("vars 3\nclause 1 + 1 3\nclause 2 - 1 3\nclause 3 + 2\n")
+        run("compile", workdir / "sat.formula", "--out-prefix", workdir / "two")
+        run("compile", workdir / "three.formula", "--out-prefix", workdir / "three")
+        capsys.readouterr()
+        svg = workdir / "two.svg"
+        args = ("render", workdir / "two.map", workdir / "two.agents", "--format", "svg")
+        assert run(*args, "--meta", workdir / "three.meta", "--out", svg) == 1
+        out = capsys.readouterr()
+        assert out.err == "error: metadata does not match the instance: clause 3 has no agent\n"
+        assert out.out == "" and not svg.exists()
+        assert run(*args, "--meta", workdir / "two.meta", "--out", svg) == 0
+        assert 'class="channel"' in svg.read_text()
+
     def test_two_colored_oracle(self, workdir):
         run(
             "compile", workdir / "sat.formula",

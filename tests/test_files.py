@@ -1,5 +1,7 @@
 """Round trips and error reporting for the text formats, plus rendering."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -352,6 +354,19 @@ class TestMetadataFormat:
         with pytest.raises(FileFormatError):
             read_metadata("variant base\n")
 
+    def test_old_text_with_wbound_still_reads(self):
+        # Older writers added "const Wbound", a coarse width bound that no
+        # check used; it is no longer written, and read past when present.
+        old_text = (
+            "variant base\nconst W 5\nconst Wbound 12\nconst U 7\nconst L 10\nconst d -\n"
+            "opening c 4 2\nopening cprime 4 29\nchannel 1 0 11 20\nchannel 2 2 11 20\n"
+            "vars 2\nclause 1 + 1 2\nclause 2 - 1 2\n"
+        )
+        _, meta = compile_formula(parse_formula("vars 2\nclause 1 + 1 2\nclause 2 - 1 2\n"))
+        new_text = write_metadata(meta)
+        assert new_text == old_text.replace("const Wbound 12\n", "")
+        assert read_metadata(old_text) == read_metadata(new_text) == meta
+
 
 class TestRender:
     def test_single_agent_ascii_markers(self):
@@ -384,6 +399,44 @@ class TestRender:
         assert svg.count('class="channel"') == len(meta.channels) == 3
         assert svg.count('class="opening') == 2
         assert svg.count('class="ladder"') == len(meta.ladders)
+
+    def test_svg_rejects_metadata_of_another_layout(self):
+        two = "vars 2\nclause 1 + 1 2\nclause 2 - 1 2\n"
+        inst, _ = compile_formula(parse_formula(two))
+        # Clause 3 has no agent: the message verify_construction gives.
+        _, three_meta = compile_formula(parse_formula(two + "clause 3 + 2\n"))
+        with pytest.raises(ValueError) as e:
+            render_svg(inst, metadata=three_meta)
+        assert str(e.value) == "metadata does not match the instance: clause 3 has no agent"
+        # The same clause ids, but a channel below the 5x32 grid.
+        _, tall_meta = compile_formula(parse_formula("vars 3\nclause 1 + 1 2 3\nclause 2 - 1 3\n"))
+        with pytest.raises(ValueError) as e:
+            render_svg(inst, metadata=tall_meta)
+        assert str(e.value) == (
+            "metadata does not match the instance: "
+            "channel at columns 0..0, rows 15..32 lies off the 5x32 grid"
+        )
+
+    def test_svg_rejects_every_kind_of_rect_off_the_grid(self):
+        text = "vars 2\nclause 1 + 1 2\nclause 2 - 1 2\nclause 3 + 2\n"
+        inst, meta = compile_formula(parse_formula(text))
+        assert (inst.grid.width, inst.grid.height) == (9, 70)
+        h_piece, v_piece = meta.ladders[:2]
+        assert (h_piece.kind, v_piece.kind) == ("h", "v")
+        ch = meta.channels[0]
+        off_grid = [
+            ("channel", replace(meta, channels=(replace(ch, col=-1),))),
+            ("ladder", replace(meta, ladders=(replace(h_piece, hi=9),))),
+            ("ladder", replace(meta, ladders=(replace(v_piece, hi=70),))),
+            ("opening", replace(meta, c_prime=Cell(9, 65))),
+            ("opening", replace(meta, c=Cell(8, -1))),
+        ]
+        for kind, bad in off_grid:
+            with pytest.raises(ValueError) as e:
+                render_svg(inst, metadata=bad)
+            assert str(e.value).startswith(f"metadata does not match the instance: {kind} at ")
+            assert str(e.value).endswith(" lies off the 9x70 grid")
+        assert render_svg(inst, metadata=meta).count('class="ladder"') == len(meta.ladders)
 
     def test_svg_starts_filled_goals_unfilled(self):
         inst = small_instance()

@@ -95,7 +95,7 @@ GOLDEN: dict[tuple[int, bool], dict[str, str]] = {
             "c70bf8dd5b3dc8ec9cef48f29268cdf157ed34e767afad61143df3f1f9f167fe"
         ),
         "base.meta": (
-            "11751012b913e557cc4516bbdcfb8105eb92a9414f9c6a752e3c2b07a94ec03c"
+            "ca93626c0761bec9bf80e42163f160a6e461936e1f4ae0b1de5a57937d429b54"
         ),
         "base.report": (
             "d4cd94b403282b608c29a3f12e2253979987cb4ac8e1e5b80c42042000f889c8"
@@ -113,7 +113,7 @@ GOLDEN: dict[tuple[int, bool], dict[str, str]] = {
             "099a90e0cabe11423d783c32d6a529e5ab230e514699c551d8d1d6133d5eeee3"
         ),
         "makespan.meta": (
-            "5a40ba505f880008a9540a4f44396fc2b3c4c20fe49077116452b94a8218eb19"
+            "6056b46c78f51e9f881412fe9bcd0e81d2e3702509a059150062dd91259f1fb2"
         ),
         "makespan.report": (
             "776283c757920b8aa72e111e5b960bb17b452181ddc87ce3c86cea8898e5bc91"
@@ -139,7 +139,7 @@ GOLDEN: dict[tuple[int, bool], dict[str, str]] = {
             "7810bc8d1874c9dec8d26d66fb2eeceef8e6ed979e40180f2518e84e417d0861"
         ),
         "base.meta": (
-            "e0ab69b864f9fe6a143928914d08fb1fa7e61f7c3e30fb3c2756c4b3631828a9"
+            "7bbe9736817494da4d02363eb042b0dec785f64938edc0fc8bbe23a04b32238c"
         ),
         "base.report": (
             "0d27cd625b0e966cd634cba3507c26a5abccbc0d810371c4cdbfc6f29316cc1e"
@@ -157,7 +157,7 @@ GOLDEN: dict[tuple[int, bool], dict[str, str]] = {
             "15d8139ca0ce9db14298059bb7351784d94b3fd057c96f9f90bc5a63c97786a5"
         ),
         "makespan.meta": (
-            "79d7c40b8248d1a1e3f164d14e9db905307deac5f5045bd817de1e580cdd91d2"
+            "d54199357f1ac23efc8708d7fcb75e05302bd4e18bc8e808ccc24d66b1431272"
         ),
         "makespan.report": (
             "ea7173bea6e96179a37da9b1515505824395e6375772caa6fc634fc0ea018d99"
@@ -183,7 +183,7 @@ GOLDEN: dict[tuple[int, bool], dict[str, str]] = {
             "cb3010787792d87923affaec3021a24aa13ba2a95000a304b21b7bbe1b510d4a"
         ),
         "base.meta": (
-            "c0edebdf08d6eee41a25716d4c033f0beca92ebacbe712d887d1340e9d1d7250"
+            "c21de9666728eb33f816907a952dbb2e110dc0e89897f22beb5c5186db8fbc2d"
         ),
         "base.report": (
             "bab44de50b46348597cdd00bedee4b8cf7909362fcb802c3b2a5de0661dab708"
@@ -201,7 +201,7 @@ GOLDEN: dict[tuple[int, bool], dict[str, str]] = {
             "9181ba1e83dc938436561cc680a4132902a536ed35451b18330fd9add7abe49c"
         ),
         "makespan.meta": (
-            "8986cbd7384ce8ee8cce17e9eb9e6d89adc917c982139430cf135447227ac325"
+            "a47e0bb947c7aead5ccea5eb6b6ee54330001c5e301b3547cf04ac5f89990d6c"
         ),
         "makespan.report": (
             "8ceb9e05cdb247d3ce4da0b8a6553f7cb0851b27e2c6f584b9bf3244f9b00c9f"

@@ -1,10 +1,10 @@
 """Differential tests of the down+right planner against the Cell-level reference.
 
-The reference is the planner as first written: a right-first DFS over
-``Cell``s with ``Direction`` moves, a set of blocked cells and a set of
-dead ends.  The library sweeps each agent's start-goal box row by row on
-bit rows; it must return the same paths, and it counts the box cells
-the sweep decided, which on YES is every agent's whole box.
+The reference (``planner_reference``) is the planner as first written: a
+right-first DFS over ``Cell``s with ``Direction`` moves, a set of blocked
+cells and a set of dead ends.  The library sweeps each agent's start-goal
+box row by row on bit rows; it must return the same paths, and it counts
+the box cells the sweep decided, which on YES is every agent's whole box.
 """
 
 import random
@@ -13,86 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmapf.core import DOWN_RIGHT, AgentTask, Cell, Direction, GridMap, Instance, Solution
+from gridmapf.core import DOWN_RIGHT, AgentTask, Cell, GridMap, Instance, Solution
 from gridmapf.twodir import (
     MonotonePath,
     SolverStats,
-    check_two_directional,
-    partition_diagonals,
     plan_monotone_path,
     solve_two_dir,
+    weakly_above,
 )
 
-
-def reference_plan(grid, blocked, start, goal, *, right_first=True, stats=None):
-    blocked = blocked if isinstance(blocked, (set, frozenset)) else set(blocked)
-    if goal.col < start.col or goal.row < start.row:
-        return None
-    if not grid.is_free(start) or not grid.is_free(goal):
-        return None
-    if start in blocked or goal in blocked:
-        return None
-    if right_first:
-        moves = (Direction.RIGHT, Direction.DOWN)
-    else:
-        moves = (Direction.DOWN, Direction.RIGHT)
-
-    failed = set()
-    stack = [[start, 0]]  # (cell, number of moves already tried)
-    if stats is not None:
-        stats.visited_cells += 1
-    while stack:
-        cell, tried = stack[-1]
-        if cell == goal:
-            return MonotonePath(tuple(entry[0] for entry in stack))
-        if tried == 2:
-            failed.add(cell)
-            stack.pop()
-            continue
-        stack[-1][1] = tried + 1
-        nxt = moves[tried].apply(cell)
-        if (
-            nxt.col <= goal.col
-            and nxt.row <= goal.row
-            and nxt not in failed
-            and nxt not in blocked
-            and grid.is_free(nxt)
-        ):
-            stack.append([nxt, 0])
-            if stats is not None:
-                stats.visited_cells += 1
-    return None
-
-
-def reference_solve(instance, *, right_first=True, stats=None):
-    if instance.directions.moves != frozenset({Direction.DOWN, Direction.RIGHT}):
-        raise ValueError("solver requires the down+right direction set")
-    if not check_two_directional(instance):
-        return None
-
-    blocked = set(instance.grid.obstacles)
-    found = {}
-    for group in partition_diagonals(instance):
-        group_cells = set()
-        for agent in group:
-            path = reference_plan(
-                instance.grid, blocked, agent.start, agent.goal,
-                right_first=right_first, stats=stats,
-            )
-            if path is None:
-                return None
-            if stats is not None:
-                stats.planned_agents += 1
-            found[agent.id] = path
-            for cell in path.cells:
-                if cell not in blocked:
-                    group_cells.add(cell)
-                    blocked.add(cell)
-        blocked -= group_cells
-        for agent in group:
-            blocked.add(agent.goal)
-
-    return Solution(tuple(found[a.id].to_timed_path() for a in instance.agents))
+from planner_reference import reference_plan, reference_solve
 
 
 def box_area(start, goal):
@@ -135,26 +65,26 @@ def down_right_instances(draw, max_width=8, max_height=8):
     return Instance(grid, tuple(agents), DOWN_RIGHT)
 
 
-def assert_solver_matches(instance, right_first):
+def assert_solver_matches(instance):
     stats, ref_stats = SolverStats(), SolverStats()
-    got = solve_two_dir(instance, right_first=right_first, stats=stats)
-    assert got == reference_solve(instance, right_first=right_first, stats=ref_stats)
+    got = solve_two_dir(instance, stats=stats)
+    assert got == reference_solve(instance, stats=ref_stats)
     boxes = sum(box_area(a.start, a.goal) for a in instance.agents)
     assert_counts(stats, ref_stats, boxes, got is not None)
     return got
 
 
 @settings(max_examples=400, deadline=None)
-@given(down_right_instances(), st.booleans())
-def test_solver_matches_cell_reference(instance, right_first):
-    assert_solver_matches(instance, right_first)
+@given(down_right_instances())
+def test_solver_matches_cell_reference(instance):
+    assert_solver_matches(instance)
 
 
 # Rows of up to 70 columns span more than one 64-bit machine word.
 @settings(max_examples=40, deadline=None)
-@given(down_right_instances(max_width=70, max_height=4), st.booleans())
-def test_solver_matches_cell_reference_on_wide_grids(instance, right_first):
-    assert_solver_matches(instance, right_first)
+@given(down_right_instances(max_width=70, max_height=4))
+def test_solver_matches_cell_reference_on_wide_grids(instance):
+    assert_solver_matches(instance)
 
 
 def test_dead_ends_stay_open_to_later_agents():
@@ -169,18 +99,15 @@ def test_dead_ends_stay_open_to_later_agents():
 
 
 @settings(max_examples=300, deadline=None)
-@given(grids(), st.data(), st.booleans())
-def test_plan_matches_cell_reference(grid, data, right_first):
+@given(grids(), st.data())
+def test_plan_matches_cell_reference(grid, data):
     # Off-grid and obstacle cells are fair game for every argument.
     cell = st.builds(Cell, st.integers(-1, grid.width), st.integers(-1, grid.height))
     start, goal = data.draw(cell), data.draw(cell)
     blocked = data.draw(st.sets(cell, max_size=12))
     stats, ref_stats = SolverStats(), SolverStats()
-    got = plan_monotone_path(grid, blocked, start, goal, right_first=right_first, stats=stats)
-    expected = reference_plan(
-        grid, blocked, start, goal, right_first=right_first, stats=ref_stats
-    )
-    assert got == expected
+    got = plan_monotone_path(grid, blocked, start, goal, stats=stats)
+    assert got == reference_plan(grid, blocked, start, goal, stats=ref_stats)
     assert_counts(stats, ref_stats, box_area(start, goal), got is not None)
 
 
@@ -211,19 +138,25 @@ PINNED_PLANS = {
 @pytest.mark.parametrize("right_first", [True, False])
 @pytest.mark.parametrize("case", list(PINNED_PLANS))
 def test_pinned_plans_match_cell_reference(case, right_first):
+    # The library's path is the right-first reference's, the highest one.
+    # The down-first reference's is the lowest: it exists exactly when the
+    # library's does, and lies weakly below it.
     grid, blocked, start, goal = PINNED_PLANS[case]
     stats, ref_stats = SolverStats(), SolverStats()
-    got = plan_monotone_path(grid, blocked, start, goal, right_first=right_first, stats=stats)
-    assert got == reference_plan(
-        grid, blocked, start, goal, right_first=right_first, stats=ref_stats
-    )
+    got = plan_monotone_path(grid, blocked, start, goal, stats=stats)
+    ref = reference_plan(grid, blocked, start, goal, right_first=right_first, stats=ref_stats)
+    if right_first:
+        assert got == ref
+    else:
+        assert (got is None) == (ref is None)
+        assert got is None or weakly_above(got, ref)
     assert_counts(stats, ref_stats, box_area(start, goal), got is not None)
     # The same agent alone, with the blocked cells as obstacles.
     obstacles = grid.obstacles | {c for c in blocked if grid.in_bounds(c)}
     alone = Instance(
         GridMap(grid.width, grid.height, obstacles), (AgentTask(0, start, goal),), DOWN_RIGHT
     )
-    assert assert_solver_matches(alone, right_first) == (
+    assert assert_solver_matches(alone) == (
         None if got is None else Solution((got.to_timed_path(),))
     )
 
@@ -233,8 +166,7 @@ def test_earlier_agent_of_the_diagonal_bends_the_path():
     # so agent 1 (also diagonal 2) cannot take its highest path RRD.
     agents = (AgentTask(0, Cell(2, 0), Cell(3, 1)), AgentTask(1, Cell(1, 1), Cell(3, 2)))
     instance = Instance(GridMap(4, 4), agents, DOWN_RIGHT)
-    for right_first in (True, False):
-        assert_solver_matches(instance, right_first)
+    assert_solver_matches(instance)
     got = solve_two_dir(instance)
     assert MonotonePath(got.paths[1].cells).move_string == "RDR"
     alone = solve_two_dir(Instance(GridMap(4, 4), agents[1:], DOWN_RIGHT))
@@ -257,5 +189,4 @@ def test_wide_grid_with_many_agents_matches_cell_reference():
             goals.add(goal)
             agents.append(AgentTask(len(agents), start, goal))
     instance = Instance(grid, tuple(agents), DOWN_RIGHT)
-    for right_first in (True, False):
-        assert assert_solver_matches(instance, right_first) is not None
+    assert assert_solver_matches(instance) is not None

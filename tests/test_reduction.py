@@ -18,7 +18,6 @@ from gridmapf.oracle import exists_individually_optimal
 from gridmapf.reduction import (
     LayoutError,
     compile_formula,
-    compute_w,
     extract_assignment,
     makespan_variant,
     realize_solution,
@@ -122,18 +121,16 @@ class TestCompileBasics:
 
 
 class TestComputeWAndL:
-    def test_w_matches_grid_and_bound_reported(self, corpus_formulas, corpus_compiled):
+    def test_w_total_matches_grid_width(self, corpus_compiled):
         for name in ("two-clause-sat", "nested-pos-l2", "unit-pos"):
-            width, bound = compute_w(corpus_formulas[name])
             inst, meta = corpus_compiled[name]
-            assert width == meta.w_total == inst.grid.width
-            assert bound == 6 * max(1, corpus_formulas[name].num_clauses)
+            assert meta.w_total == inst.grid.width
 
     def test_adding_a_variable_widens_layout(self):
         f1 = parse_formula("vars 1\nclause 1 + 1\nclause 2 - 1\n")
         f2 = parse_formula("vars 2\nclause 1 + 1 2\nclause 2 - 1 2\n")
-        w1, _ = compute_w(f1)
-        w2, _ = compute_w(f2)
+        w1 = compile_formula(f1)[1].w_total
+        w2 = compile_formula(f2)[1].w_total
         assert w2 > w1
 
     def test_l_recomputed_by_bfs_matches(self, corpus_compiled):

