@@ -11,12 +11,13 @@ origin at the top-left.  "Up" therefore means ``row - 1``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import compress
 from operator import ne
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, MutableSequence, NamedTuple, Optional, Sequence
 
 
 class Cell(NamedTuple):
@@ -369,7 +370,9 @@ class _GridKernel:
     mask over the framed ids and BFS fields over them, negative where
     unreached.  Fields are memoized, shared with callers, who must not
     mutate them, and dropped with the kernel, which lives for one public
-    call only, so no field stays resident between calls.
+    call only, so no field stays resident between calls.  The memoized
+    fields are lists, read many times per cell; the bounded fields of
+    ``dist_to_near`` are ``array('i')``.
     """
 
     def __init__(self, grid: GridMap) -> None:
@@ -435,16 +438,20 @@ class _GridKernel:
 
     def dist_to_near(
         self, start: int, goal: int, dirs: DirectionSet, bound: Optional[int] = None
-    ) -> list[int]:
+    ) -> array[int]:
         """``dist_to(goal)``, exact on the cells that a path from ``start`` of at
         most ``bound`` moves (by default, a shortest one) can use, elsewhere
         negative or above it, and negative everywhere without such a path: an
         A* under the Manhattan distance closes those cells, then a reverse BFS
-        from ``goal`` runs on the cells it reached.  Not memoized."""
+        from ``goal`` runs on the cells it reached.  Not memoized.  The field
+        is a new ``array('i')``: it is grid-sized and still young when a
+        search starts allocating, and the cyclic garbage collector would
+        walk a list's slots in each gen-0 and gen-1 collection; an array
+        references no objects, so it walks none of them."""
         free, s = self.free, self.stride
         steps = self.steps(dirs)
         gcol, grow = goal % s, goal // s
-        dist = [-2] * len(free)  # g once reached, -1 once closed
+        dist = _UNREACHED * len(free)  # g once reached, -1 once closed
         dist[start] = 0
         f = abs(start % s - gcol) + abs(start // s - grow)
         # A move changes f by 0 or 2, so one list per f-layer replaces a heap.
@@ -466,14 +473,20 @@ class _GridKernel:
                         (layer if nearer else later).append(nxt)
             layer, later, f = later, [], f + 2
         if dist[goal] != -1:
-            return [-1] * len(dist)
+            return _UNSOLVED * len(dist)
         for cid in layer:  # reached, not closed: searched backwards all the same
             dist[cid] = -1
         _bfs(free, self.steps(dirs, True), goal, dist)
         return dist
 
 
-def _bfs(free: bytearray, steps: tuple[int, ...], source: int, dist: list[int]) -> list[int]:
+# One-slot seeds of the bounded fields: repeating a seed builds a field
+# faster than ``array("i", [-2]) * n`` would, which first builds a list.
+_UNREACHED = array("i", [-2])
+_UNSOLVED = array("i", [-1])
+
+
+def _bfs(free: bytearray, steps: tuple[int, ...], source: int, dist: MutableSequence[int]) -> list[int]:
     """Breadth-first search from ``source`` over the framed ids that ``free``
     marks, one ``steps`` offset per move, writing move counts into the
     entries of ``dist`` that hold -1; returns the ids reached in order.  A

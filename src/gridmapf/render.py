@@ -61,10 +61,10 @@ def _rect(col: int, row: int, col_hi: int, row_hi: int, fill: str, cls: str = ""
     )
 
 
-def _layout_rects(instance: Instance, metadata: ReductionMetadata) -> list[str]:
-    """The channel, ladder and opening rects of ``metadata``.  Raises
-    ``ValueError`` when its clauses are not the instance's agents or one
-    of its rects lies off the grid."""
+def _layout_boxes(instance: Instance, metadata: ReductionMetadata) -> list[tuple]:
+    """The channel, ladder and opening boxes of ``metadata``, as ``_rect``
+    arguments.  Raises ``ValueError`` when its clauses are not the
+    instance's agents or one of its boxes lies off the grid."""
     agents_by_clause(instance, metadata)
     boxes = [
         (ch.col, ch.top_row, ch.col, ch.bottom_row, "#ffe680", "channel")
@@ -85,7 +85,7 @@ def _layout_rects(instance: Instance, metadata: ReductionMetadata) -> list[str]:
                 f"{col}..{col_hi}, rows {row}..{row_hi} lies off the "
                 f"{grid.width}x{grid.height} grid"
             )
-    return [_rect(*box) for box in boxes]
+    return boxes
 
 
 def render_svg(
@@ -107,7 +107,7 @@ def render_svg(
             if not grid.is_free(Cell(col, row)):
                 parts.append(_rect(col, row, col, row, "#3b3b3b"))
     if metadata is not None:
-        parts += _layout_rects(instance, metadata)
+        parts += [_rect(*box) for box in _layout_boxes(instance, metadata)]
 
     if solution is not None:
         for i, path in enumerate(solution.paths):
@@ -145,7 +145,11 @@ def render(
     fmt: str = "ascii",
     metadata: Optional[ReductionMetadata] = None,
 ) -> str:
+    """The instance in ``fmt``.  In either format, raises ``ValueError``
+    when ``metadata`` does not fit the instance; only the SVG draws it."""
     if fmt == "ascii":
+        if metadata is not None:
+            _layout_boxes(instance, metadata)
         return render_ascii(instance, solution)
     if fmt == "svg":
         return render_svg(instance, solution, metadata)

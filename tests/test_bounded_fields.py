@@ -27,13 +27,17 @@ from gridmapf.core import (
     Instance,
     _GridKernel,
 )
+from gridmapf.formula import parse_formula
 from gridmapf.oracle import (
     BudgetExceededError,
     SearchBudget,
+    _Compiled,
     enumerate_individually_optimal,
     exists_individually_optimal,
     exists_makespan_at_most,
 )
+from gridmapf.reduction import compile_formula, makespan_variant
+from test_kernel import slots_the_collector_visits
 from test_oracle import ALL_MODELS
 
 BUDGET = SearchBudget(max_states=300)
@@ -133,3 +137,17 @@ def test_unreachable_goal_closes_each_cell_once(monkeypatch):
     assert not exists_individually_optimal(inst).decision
     assert len(closed) == 300 * 300 - 3
     assert max(closed.values()) == 1
+
+
+def test_compiled_fields_hold_nothing_the_collector_scans():
+    """On the makespan variant of a compiled formula, at its common distance
+    d, every bounded goal field is an ``array('i')``, whose slots the cyclic
+    garbage collector never walks; ``full`` keeps the kernel's memoized lists."""
+    formula = parse_formula("vars 3\nclause 1 + 1 3\nclause 2 - 1 3\nclause 3 + 2\n")
+    inst, meta = makespan_variant(*compile_formula(formula))
+    compiled = _Compiled(inst, bound=meta.common_distance)
+    assert compiled.lengths == [meta.common_distance] * inst.num_agents
+    framed = (inst.grid.width + 1) * (inst.grid.height + 2)
+    for field in compiled.dist:
+        assert field.typecode == "i" and len(field) == framed and slots_the_collector_visits(field) == []
+    assert all(type(field) is list for field in _Compiled(inst, full=True).dist)

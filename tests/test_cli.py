@@ -279,6 +279,23 @@ class TestCompiledPipeline:
         assert run(*args, "--meta", workdir / "two.meta", "--out", svg) == 0
         assert 'class="channel"' in svg.read_text()
 
+    def test_render_ascii_checks_the_meta_as_svg_does(self, workdir, capsys):
+        (workdir / "three.formula").write_text("vars 3\nclause 1 + 1 3\nclause 2 - 1 3\nclause 3 + 2\n")
+        run("compile", workdir / "sat.formula", "--out-prefix", workdir / "two")
+        run("compile", workdir / "three.formula", "--out-prefix", workdir / "three")
+        capsys.readouterr()
+        txt = workdir / "three.txt"
+        args = ("render", workdir / "three.map", workdir / "three.agents")
+        assert run(*args, "--meta", workdir / "two.meta", "--out", txt) == 1
+        out = capsys.readouterr()
+        assert out.err == "error: metadata does not match the instance: agent 3 has no clause\n"
+        assert out.out == "" and not txt.exists()
+        assert run(*args, "--format", "svg", "--meta", workdir / "two.meta") == 1
+        assert capsys.readouterr().err == out.err
+        assert run(*args, "--meta", workdir / "three.meta", "--out", txt) == 0
+        assert run(*args) == 0
+        assert capsys.readouterr().out == txt.read_text()
+
     def test_two_colored_oracle(self, workdir):
         run(
             "compile", workdir / "sat.formula",

@@ -401,21 +401,24 @@ class TestRender:
         assert svg.count('class="ladder"') == len(meta.ladders)
 
     def test_svg_rejects_metadata_of_another_layout(self):
+        """The ASCII drawing shows no ledger, but checks it the same way."""
         two = "vars 2\nclause 1 + 1 2\nclause 2 - 1 2\n"
-        inst, _ = compile_formula(parse_formula(two))
+        inst, meta = compile_formula(parse_formula(two))
         # Clause 3 has no agent: the message verify_construction gives.
         _, three_meta = compile_formula(parse_formula(two + "clause 3 + 2\n"))
-        with pytest.raises(ValueError) as e:
-            render_svg(inst, metadata=three_meta)
-        assert str(e.value) == "metadata does not match the instance: clause 3 has no agent"
         # The same clause ids, but a channel below the 5x32 grid.
         _, tall_meta = compile_formula(parse_formula("vars 3\nclause 1 + 1 2 3\nclause 2 - 1 3\n"))
-        with pytest.raises(ValueError) as e:
-            render_svg(inst, metadata=tall_meta)
-        assert str(e.value) == (
-            "metadata does not match the instance: "
-            "channel at columns 0..0, rows 15..32 lies off the 5x32 grid"
-        )
+        for fmt in ("svg", "ascii"):
+            with pytest.raises(ValueError) as e:
+                render(inst, fmt=fmt, metadata=three_meta)
+            assert str(e.value) == "metadata does not match the instance: clause 3 has no agent"
+            with pytest.raises(ValueError) as e:
+                render(inst, fmt=fmt, metadata=tall_meta)
+            assert str(e.value) == (
+                "metadata does not match the instance: "
+                "channel at columns 0..0, rows 15..32 lies off the 5x32 grid"
+            )
+        assert render(inst, fmt="ascii", metadata=meta) == render_ascii(inst)
 
     def test_svg_rejects_every_kind_of_rect_off_the_grid(self):
         text = "vars 2\nclause 1 + 1 2\nclause 2 - 1 2\nclause 3 + 2\n"

@@ -1,5 +1,6 @@
 """Differential tests of the integer grid kernel against a BFS over cells."""
 
+import gc
 import itertools
 from collections import deque
 
@@ -12,6 +13,7 @@ from gridmapf.core import (
     MOTION_DIRECTIONS,
     AgentTask,
     Cell,
+    Direction,
     DirectionSet,
     GridMap,
     Instance,
@@ -196,6 +198,49 @@ def test_near_goal_fields_are_exact_within_the_bound(grid, dirs, data):
                 assert got == true, (cell, bound)
             elif got >= 0:  # a real path, never shorter than the shortest
                 assert true is not None and got >= true, (cell, bound)
+
+
+def slots_the_collector_visits(field):
+    """The objects that a collection visits inside ``field``, its type aside.
+
+    From CPython 3.10 an ``array`` is tracked as a whole, but its traversal
+    visits only its type; a list's visits every slot."""
+    return [r for r in gc.get_referents(field) if r is not type(field)]
+
+
+def test_bounded_fields_are_arrays_the_collector_does_not_scan():
+    """Bounded fields hold raw C ints, so the cyclic garbage collector never
+    walks their grid-sized storage: with or without a bound, and when the
+    goal is out of reach."""
+    grid = GridMap(4, 3, frozenset({Cell(1, 0), Cell(1, 1)}))
+    kernel = _GridKernel(grid)
+    start, goal, walled = kernel.cid(Cell(0, 0)), kernel.cid(Cell(3, 0)), kernel.cid(Cell(1, 2))
+    fields = [
+        kernel.dist_to_near(start, goal, FOUR_DIRECTIONS),
+        kernel.dist_to_near(start, goal, FOUR_DIRECTIONS, 7),
+        kernel.dist_to_near(start, goal, FOUR_DIRECTIONS, 9),
+        kernel.dist_to_near(start, goal, FOUR_DIRECTIONS, 6),  # under the distance
+        kernel.dist_to_near(start, walled, DirectionSet(frozenset({Direction.UP}))),
+    ]
+    assert [f[start] for f in fields] == [7, 7, 7, -1, -1]
+    for field in fields:
+        assert field.typecode == "i" and len(field) == len(kernel.free)
+        assert slots_the_collector_visits(field) == []
+    assert len(slots_the_collector_visits(kernel.dist_to(goal, FOUR_DIRECTIONS))) == len(kernel.free)
+
+
+def test_corridor_distance_beyond_sixteen_bits():
+    """A 1x40,000 corridor: its goal distance, 39,999, does not fit in a
+    16-bit field slot."""
+    grid = GridMap(40_000, 1)
+    ends = (AgentTask(0, Cell(0, 0), Cell(39_999, 0)),)
+    kernel = _GridKernel(grid)
+    start, goal = kernel.cid(Cell(0, 0)), kernel.cid(Cell(39_999, 0))
+    for bound in (None, 39_999, 40_001):
+        field = kernel.dist_to_near(start, goal, FOUR_DIRECTIONS, bound)
+        assert field[start] == 39_999 and field[start + 1] == 39_998 and field[goal] == 0
+    assert max(kernel.dist_to_near(start, goal, FOUR_DIRECTIONS, 39_998)) < 0
+    assert lower_bound_cost(Instance(grid, ends, FOUR_DIRECTIONS)) == 39_999
 
 
 @settings(max_examples=30, deadline=None)
