@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import compress
-from operator import ne
+from operator import ne, sub
 from typing import Hashable, Iterable, Iterator, Mapping, MutableSequence, NamedTuple, Optional, Sequence
 
 
@@ -161,6 +161,13 @@ class GridMap:
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "free", free)
 
+    @cached_property
+    def _framed(self) -> bytes:
+        """The free mask over the kernel's framed ids (see ``_GridKernel``),
+        built on first use and kept with the grid: the kernels, the
+        validator and the solution reader of one grid share it."""
+        return _framed_mask(self, -1, 0, self.width + 1, self.height)
+
     def in_bounds(self, cell: Cell) -> bool:
         return 0 <= cell.col < self.width and 0 <= cell.row < self.height
 
@@ -247,23 +254,34 @@ class Instance:
         return len(self.agents)
 
 
-@dataclass(frozen=True)
 class TimedPath:
     """A timed path: ``cells[t]`` is the agent's cell at step ``t``.
 
     The sequence ends the first time the agent reaches its final cell and
     rests there forever; the agent implicitly stays at ``cells[-1]`` for all
     later times.  ``cost`` is that arrival index.
+
+    A path is built from its cells, or by ``_from_ids`` from the framed ids
+    ``(row + 1) * stride + col`` of its cells (see ``_GridKernel``), as the
+    down+right planner, the solution reader and the oracles' witnesses
+    build theirs.  The validator and the solution writer read those ids;
+    ``cells`` is built from them on first read only, and replaces them, so
+    a path never holds both.  ``cost``, ``start``, ``end`` and ``at`` do
+    not build it.  Paths compare and hash by their cells, whichever way
+    they were built.
     """
 
-    cells: tuple[Cell, ...]
+    __slots__ = ("_cells", "_ids", "_stride")
 
-    def __post_init__(self) -> None:
-        if not self.cells:
+    def __init__(self, cells: Sequence[Cell]) -> None:
+        cells = tuple(cells)
+        if not cells:
             raise ValueError("a timed path needs at least one cell")
-        object.__setattr__(self, "cells", tuple(self.cells))
-        if len(self.cells) > 1 and self.cells[-1] == self.cells[-2]:
+        if len(cells) > 1 and cells[-1] == cells[-2]:
             raise ValueError("timed path must be normalized (no trailing rest steps)")
+        self._cells: Optional[tuple[Cell, ...]] = cells
+        self._ids: Optional[tuple[int, ...]] = None
+        self._stride = 0
 
     @classmethod
     def from_cells(cls, cells: Sequence[Cell]) -> "TimedPath":
@@ -273,21 +291,74 @@ class TimedPath:
             cells.pop()
         return cls(tuple(cells))
 
+    @classmethod
+    def _from_ids(cls, ids: Iterable[int], stride: int) -> "TimedPath":
+        """The path through the cells of framed ids ``(row + 1) * stride +
+        col``, trimming any trailing waits.  Each id must name a cell in
+        columns ``0 .. stride - 2`` and rows from -1 on, so that it is not
+        negative and no frame column makes a jump look like a move."""
+        ids = tuple(ids)
+        if not ids:
+            raise ValueError("a timed path needs at least one cell")
+        end = len(ids)
+        while end > 1 and ids[end - 1] == ids[end - 2]:
+            end -= 1
+        path = cls.__new__(cls)
+        path._cells, path._ids, path._stride = None, ids[:end], stride
+        return path
+
+    # A read of ``cells`` sets ``_cells`` before it drops ``_ids``, so code
+    # that reads ``_ids`` once, and ``_cells`` when that was None, stays
+    # right while another thread builds the cells.
+
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        cells = self._cells
+        if cells is None:
+            ids = self._ids
+            if ids is None:  # built meanwhile
+                return self._cells
+            self._cells = cells = tuple(_id_cells(ids, self._stride))
+            self._ids = None  # one form held at a time
+        return cells
+
+    def _cell(self, t: int) -> Cell:
+        ids = self._ids
+        if ids is None:
+            return self._cells[t]
+        cid, s = ids[t], self._stride
+        return Cell(cid % s, cid // s - 1)
+
     @property
     def cost(self) -> int:
-        return len(self.cells) - 1
+        ids = self._ids
+        return len(self._cells if ids is None else ids) - 1
 
     @property
     def start(self) -> Cell:
-        return self.cells[0]
+        return self._cell(0)
 
     @property
     def end(self) -> Cell:
-        return self.cells[-1]
+        return self._cell(-1)
 
     def at(self, t: int) -> Cell:
         """Position at time ``t`` with stay-at-target padding."""
-        return self.cells[t] if t < len(self.cells) else self.cells[-1]
+        return self._cell(t) if t <= self.cost else self._cell(-1)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TimedPath):
+            return NotImplemented
+        mine, theirs = self._ids, other._ids
+        if mine is not None and theirs is not None and self._stride == other._stride:
+            return mine == theirs
+        return self.cells == other.cells
+
+    def __hash__(self) -> int:
+        return hash(self.cells)
+
+    def __repr__(self) -> str:
+        return f"TimedPath(cells={self.cells!r})"
 
 
 @dataclass(frozen=True)
@@ -360,6 +431,19 @@ def _id_cells(ids: Iterable[int], stride: int) -> Iterator[Cell]:
     return (new(Cell, (cid % stride, cid // stride - 1)) for cid in ids)
 
 
+def _framed_mask(grid: GridMap, top: int, left: int, stride: int, bottom: int) -> bytes:
+    """The free mask over the framed ids ``(row - top) * stride + col -
+    left`` of rows ``top .. bottom`` and columns ``left .. left + stride -
+    1``: 1 on a free grid cell, 0 elsewhere.  The frame must hold the grid
+    and a blocked row above and below it, and close each row with a blocked
+    column: ``top < 0``, ``left <= 0``, ``bottom >= height`` and ``left +
+    stride > width``."""
+    w, h, mask = grid.width, grid.height, grid.free
+    # the blocked cells right of one grid row and left of the next
+    rows = bytes(stride - w).join([mask[r * w : (r + 1) * w] for r in range(h)])
+    return bytes(-top * stride - left) + rows + bytes((bottom - h + 2) * stride + left - w)
+
+
 class _GridKernel:
     """A grid lowered to framed cell ids, ``(row + 1) * stride + col``.
 
@@ -367,19 +451,19 @@ class _GridKernel:
     blocked row lies above the grid and another below it, so each move is
     a fixed id offset (``steps``) that needs no bounds check and never
     wraps into the next row.  Ids grow with (row, col).  Holds the free
-    mask over the framed ids and BFS fields over them, negative where
-    unreached.  Fields are memoized, shared with callers, who must not
-    mutate them, and dropped with the kernel, which lives for one public
-    call only, so no field stays resident between calls.  The memoized
+    mask over the framed ids (``GridMap._framed``, kept with the grid)
+    and BFS fields over them, negative where unreached.  Fields are
+    memoized, shared with callers, who must not mutate them, and dropped
+    with the kernel, which lives for one public call only, so no field
+    stays resident between calls.  The memoized
     fields are lists, read many times per cell; the bounded fields of
     ``dist_to_near`` are ``array('i')``.
     """
 
     def __init__(self, grid: GridMap) -> None:
-        w, h, mask = grid.width, grid.height, grid.free
+        w, h = grid.width, grid.height
         self.width, self.height, self.stride = w, h, w + 1
-        rows = b"\x00".join(mask[r * w : (r + 1) * w] for r in range(h))
-        self.free = bytearray(w + 1) + rows + bytes(w + 2)
+        self.free = grid._framed
         self._steps: dict[tuple[frozenset[Direction], bool], tuple[int, ...]] = {}
         self._fields: dict[tuple[frozenset[Direction], int, bool], tuple[list[int], list[int]]] = {}
 
@@ -486,7 +570,7 @@ _UNREACHED = array("i", [-2])
 _UNSOLVED = array("i", [-1])
 
 
-def _bfs(free: bytearray, steps: tuple[int, ...], source: int, dist: MutableSequence[int]) -> list[int]:
+def _bfs(free: bytes, steps: tuple[int, ...], source: int, dist: MutableSequence[int]) -> list[int]:
     """Breadth-first search from ``source`` over the framed ids that ``free``
     marks, one ``steps`` offset per move, writing move counts into the
     entries of ``dist`` that hold -1; returns the ids reached in order.  A
@@ -609,6 +693,44 @@ def _rotations(prev: Sequence[Hashable], here: Sequence[Hashable]) -> list[tuple
     return out
 
 
+def _solution_ids(
+    grid: GridMap, paths: Sequence[TimedPath]
+) -> tuple[list[Sequence[int]], int, int, int, bytes]:
+    """The paths as framed ids ``(row - top) * stride + col - left`` in one
+    frame that holds every cell they name, with that frame's free mask:
+    (ids per path, stride, top, left, mask).
+
+    Mostly that is the kernel's frame (top -1, left 0, stride ``width +
+    1``): an id-built path of that stride keeps its ids, and a path built
+    from cells is lowered once, after a bounds check.  Framed ids alias
+    cells off the grid (on a width-1 grid ``Cell(2, 0)`` and ``Cell(0, 1)``
+    both get id 4), so when a path holds a cell left or right of the grid,
+    or more than one row above or below it, every path is lowered into a
+    frame that spans all their cells and still closes each row with a
+    blocked column.
+    """
+    w, h = grid.width, grid.height
+    s = w + 1
+    out: list[Sequence[int]] = []
+    for path in paths:
+        ids = path._ids
+        if ids is None or path._stride != s:
+            cols, rows = zip(*path.cells)
+            if not (0 <= min(cols) and max(cols) < w and -1 <= min(rows) and max(rows) <= h):
+                break
+            ids = [(row + 1) * s + col for col, row in path.cells]
+        out.append(ids)
+    else:
+        return out, s, -1, 0, grid._framed
+    cells = [path.cells for path in paths]
+    cols = [col for path in cells for col, _ in path]
+    rows = [row for path in cells for _, row in path]
+    top, left = min(-1, *rows), min(0, *cols)
+    s = max(w - 1, *cols) - left + 2
+    ids = [[(row - top) * s + col - left for col, row in path] for path in cells]
+    return ids, s, top, left, _framed_mask(grid, top, left, s, max(h, *rows))
+
+
 def validate_solution(
     instance: Instance,
     solution: Solution,
@@ -619,19 +741,25 @@ def validate_solution(
     Paths are padded at their final cell forever after arrival, so a parked
     agent keeps participating in vertex conflicts.  Raises ``ValueError`` on
     structural mismatch (wrong path count, wrong start, wrong goal); every
-    other defect is reported as a conflict entry.
+    other defect is reported as a conflict entry.  The checks run on framed
+    cell ids (``_solution_ids``); a ``Cell`` is built only for a conflict.
     """
     if len(solution.paths) != instance.num_agents:
         raise ValueError(
             f"solution has {len(solution.paths)} paths for {instance.num_agents} agents"
         )
-    for agent, path in zip(instance.agents, solution.paths):
-        if path.start != agent.start:
-            raise ValueError(f"agent {agent.id}: path starts at {path.start}, not {agent.start}")
+    paths, s, top, left, free = _solution_ids(instance.grid, solution.paths)
+
+    def cell(cid: int) -> Cell:
+        return Cell(cid % s + left, cid // s + top)
+
+    for agent, path in zip(instance.agents, paths):
+        if path[0] != (agent.start.row - top) * s + agent.start.col - left:
+            raise ValueError(f"agent {agent.id}: path starts at {cell(path[0])}, not {agent.start}")
     if instance.teams is None:
-        for agent, path in zip(instance.agents, solution.paths):
-            if path.end != agent.goal:
-                raise ValueError(f"agent {agent.id}: path ends at {path.end}, not {agent.goal}")
+        for agent, path in zip(instance.agents, paths):
+            if path[-1] != (agent.goal.row - top) * s + agent.goal.col - left:
+                raise ValueError(f"agent {agent.id}: path ends at {cell(path[-1])}, not {agent.goal}")
     else:
         problem = _team_assignment_ok(instance, solution)
         if problem is not None:
@@ -639,25 +767,29 @@ def validate_solution(
 
     conflicts: list[Conflict] = []
     ids = [a.id for a in instance.agents]
-    cells = [p.cells for p in solution.paths]
-    n = len(cells)
+    n = len(paths)
 
-    # Malformed single-agent steps.  GridMap.is_free inlined on the mask.
-    grid = instance.grid
-    free, w, h = grid.free, grid.width, grid.height
+    # Malformed single-agent steps.  An id-built path made on a taller grid
+    # may hold ids past the mask's end, which are not free either.
     dirs = instance.directions
-    allowed = {*dirs._steps, (0, 0)} if dirs.waits_allowed else set(dirs._steps)
-    for aid, path in zip(ids, cells):
-        for t, cell in enumerate(path):
-            col, row = cell
-            if not (0 <= col < w and 0 <= row < h and free[row * w + col]):
-                conflicts.append(Conflict(t, "illegal-step", (aid,), (cell,)))
-        pcol, prow = path[0]
-        for t, (col, row) in enumerate(path[1:], 1):
-            if (col - pcol, row - prow) not in allowed:
+    allowed = {dr * s + dc for dc, dr in dirs._steps}
+    if dirs.waits_allowed:
+        allowed.add(0)
+    for aid, path in zip(ids, paths):
+        try:
+            clean = all(map(free.__getitem__, path))
+        except IndexError:
+            clean = False
+        if not clean:
+            for t, c in enumerate(path):
+                if c >= len(free) or not free[c]:
+                    conflicts.append(Conflict(t, "illegal-step", (aid,), (cell(c),)))
+        if not allowed.issuperset(map(sub, path[1:], path)):
+            for t in range(1, len(path)):
                 a, b = path[t - 1], path[t]
-                conflicts.append(Conflict(t, "illegal-step", (aid,), (a,) if a == b else (a, b)))
-            pcol, prow = col, row
+                if b - a not in allowed:
+                    pair = (cell(a),) if a == b else (cell(a), cell(b))
+                    conflicts.append(Conflict(t, "illegal-step", (aid,), pair))
 
     # Interactions, time step by time step.  An agent whose path has ended
     # is parked on its end cell, where only a vertex conflict can meet it, so
@@ -665,10 +797,11 @@ def validate_solution(
     # the parked end cells.  The rule below runs, over all agents in instance
     # order, only where the scan sees a vertex hit, a swap or, under the
     # following or cycle rule, a mover entering a cell that a mover left.
+    # Cells are ids here: distinct cells have distinct ids in the frame.
     entering = model.forbid_following or model.forbid_cycle
-    moving = sorted(cells, key=len, reverse=True)
-    parked: set[Cell] = set()
-    occupied: set[Cell] = set()  # the cells of the agents moving at t - 1
+    moving = sorted(paths, key=len, reverse=True)
+    parked: set[int] = set()
+    occupied: set[int] = set()  # the cells of the agents moving at t - 1
     now = [c[0] for c in moving]
     for t in range(len(moving[0]) if n else 0):
         while len(moving[-1]) <= t:
@@ -694,21 +827,19 @@ def validate_solution(
         # Edge and following conflicts pair two movers, so each mover's new
         # cell is looked up among the cells that movers leave; several can
         # leave one cell after a vertex conflict.
-        prev = [c[t - 1] if t <= len(c) else c[-1] for c in cells]
-        here = [c[t] if t < len(c) else c[-1] for c in cells]
+        prev = [c[t - 1] if t <= len(c) else c[-1] for c in paths]
+        here = [c[t] if t < len(c) else c[-1] for c in paths]
         if model.forbid_vertex and len(set(here)) < n:
-            seen: dict[Cell, int] = {}
-            for i, cell in enumerate(here):
-                if cell in seen:
-                    conflicts.append(
-                        Conflict(t, "vertex", (ids[seen[cell]], ids[i]), (cell,))
-                    )
+            seen: dict[int, int] = {}
+            for i, c in enumerate(here):
+                if c in seen:
+                    conflicts.append(Conflict(t, "vertex", (ids[seen[c]], ids[i]), (cell(c),)))
                 else:
-                    seen[cell] = i
+                    seen[c] = i
         if t == 0:
             continue
         moved = [i for i in range(n) if here[i] != prev[i]]
-        leaving: dict[Cell, list[int]] = {}  # cell -> movers leaving it, ascending
+        leaving: dict[int, list[int]] = {}  # cell -> movers leaving it, ascending
         for i in moved:
             leaving.setdefault(prev[i], []).append(i)
         if model.forbid_edge:
@@ -716,15 +847,16 @@ def validate_solution(
                 for j in leaving.get(here[i], ()):
                     if j > i and here[j] == prev[i]:
                         conflicts.append(
-                            Conflict(t, "edge", (ids[i], ids[j]), (prev[i], here[i]))
+                            Conflict(t, "edge", (ids[i], ids[j]), (cell(prev[i]), cell(here[i])))
                         )
         if model.forbid_following:
             for i in moved:
                 for j in leaving.get(here[i], ()):
-                    conflicts.append(Conflict(t, "following", (ids[i], ids[j]), (here[i],)))
+                    conflicts.append(Conflict(t, "following", (ids[i], ids[j]), (cell(here[i]),)))
         if model.forbid_cycle:
             for members, ring in _rotations(prev, here):
-                conflicts.append(Conflict(t, "cycle", tuple(sorted(ids[k] for k in members)), ring))
+                agents = tuple(sorted(ids[k] for k in members))
+                conflicts.append(Conflict(t, "cycle", agents, tuple(map(cell, ring))))
     return ConflictReport(tuple(conflicts))
 
 

@@ -166,11 +166,18 @@ _LETTER_STEPS = {letter: step for step, letter in _STEP_LETTERS.items()}
 
 
 def write_solution(instance: Instance, solution: Solution) -> str:
+    # On the kernel's framed ids each single step is one id difference.
+    s = instance.grid.width + 1
+    letters = {-s: "U", s: "D", -1: "L", 1: "R", 0: "W"}
     lines = []
     for agent, path in zip(instance.agents, solution.paths):
-        cols, rows = zip(*path.cells)
-        steps = zip(map(sub, cols[1:], cols), map(sub, rows[1:], rows))
-        moves = list(map(_STEP_LETTERS.get, steps))
+        ids = path._ids
+        if ids is not None and path._stride == s:
+            moves = list(map(letters.get, map(sub, ids[1:], ids)))
+        else:
+            cols, rows = zip(*path.cells)
+            steps = zip(map(sub, cols[1:], cols), map(sub, rows[1:], rows))
+            moves = list(map(_STEP_LETTERS.get, steps))
         if None in moves:
             t = moves.index(None)
             a, b = path.cells[t], path.cells[t + 1]
@@ -211,8 +218,9 @@ def read_solution(text: str, instance: Instance) -> Solution:
         ids = list(accumulate(steps[:k], initial=kernel.cid(agent.start)))
         if not all(map(free.__getitem__, ids)):
             t = next(t for t, cid in enumerate(ids) if not free[cid])
-            (col, row), (dcol, drow) = next(kernel.cells(ids[t - 1 : t])), _LETTER_STEPS[moves[t - 1]]
-            nxt = Cell(col + dcol, row + drow)  # not the frame cell of ids[t]
+            row, col = divmod(ids[t - 1], kernel.stride)
+            dcol, drow = _LETTER_STEPS[moves[t - 1]]
+            nxt = Cell(col + dcol, row - 1 + drow)  # not the frame cell of ids[t]
             raise FileFormatError(f"agent {agent.id}: step {t} moves into {nxt}, which is not free", lineno)
         if k < len(moves):
             letter, t = moves[k], k + 1
@@ -220,7 +228,7 @@ def read_solution(text: str, instance: Instance) -> Solution:
             if letter not in _LETTER_STEPS:
                 problem = f"bad move {letter!r} at step {t}"
             raise FileFormatError(f"agent {agent.id}: {problem}", lineno)
-        paths.append(TimedPath.from_cells(kernel.cells(ids)))
+        paths.append(TimedPath._from_ids(ids, kernel.stride))
     extra = set(by_id) - {a.id for a in instance.agents}
     if extra:
         raise FileFormatError(f"unknown agent ids {sorted(extra)}")

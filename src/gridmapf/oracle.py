@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .core import (
-    Cell,
     ConflictModel,
     Instance,
     Solution,
@@ -38,7 +37,8 @@ class NoSolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Resource limits for one oracle query."""
+    """Resource limits for one oracle query: ``max_states`` caps the states
+    expanded, and the states the flowtime A* holds in its table."""
 
     max_states: int = 5_000_000
     max_seconds: Optional[float] = None
@@ -79,6 +79,12 @@ class _BudgetClock:
             if time.perf_counter() >= self.deadline:
                 raise BudgetExceededError("wall-time budget exhausted")
 
+    def hold(self, states: int) -> None:
+        """Raise once a search table holds more than ``max_states`` states:
+        one expansion of many agents can add up to b^N of them."""
+        if states > self.max_states:
+            raise BudgetExceededError(f"state budget of {self.max_states} exhausted")
+
     def paced(self, moves: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
         """``moves``, with the deadline also checked every 512 of them: one
         expansion may generate 100,000s; callers count each in ``generated``."""
@@ -113,7 +119,7 @@ class _Compiled:
         kernel = kernel or _GridKernel(instance.grid)
         dirs = instance.directions
         self.instance = instance
-        self.cells = kernel.cells
+        self.stride = kernel.stride
         self.steps = kernel.steps(dirs)
         self.starts = tuple(kernel.cid(a.start) for a in instance.agents)
         self.goals = goals or tuple(kernel.cid(a.goal) for a in instance.agents)
@@ -129,11 +135,10 @@ class _Compiled:
         return None if min(self.lengths, default=0) < 0 else sum(self.lengths)
 
 
-def _solution_from_states(
-    cells: Callable[[Iterable[int]], Iterator[Cell]], states: Sequence[tuple[int, ...]]
-) -> Solution:
-    """The solution whose agents take the cell ids of ``states`` in turn."""
-    return Solution(tuple(TimedPath.from_cells(cells(ids)) for ids in zip(*states)))
+def _solution_from_states(stride: int, states: Sequence[tuple[int, ...]]) -> Solution:
+    """The solution whose agents take the framed cell ids (of ``stride``) of
+    ``states`` in turn."""
+    return Solution(tuple(TimedPath._from_ids(ids, stride) for ids in zip(*states)))
 
 
 def _joint_moves(
@@ -213,7 +218,7 @@ _Key = tuple[tuple[int, ...], int, int]
 def _dfs(
     start: _Key,
     expand: Callable[[_Key], Optional[Iterable[_Key]]],
-    cells: Callable[[Iterable[int]], Iterator[Cell]],
+    stride: int,
     clock: _BudgetClock,
 ) -> Witness:
     """Depth-first search over the keys reached from ``start``, each expanded
@@ -231,7 +236,7 @@ def _dfs(
             while (key := parent[key]) is not None:
                 states.append(key[0])
             states.reverse()
-            return Witness(True, _solution_from_states(cells, states))
+            return Witness(True, _solution_from_states(stride, states))
         for nxt in clock.paced(successors):
             clock.generated += 1
             if nxt not in parent:
@@ -311,7 +316,7 @@ def _arrive_by(
     return _dfs(
         (comp.starts, 0, 0),
         lambda key: None if key[0] == goals else _successors(comp, key, deadlines, model),
-        comp.cells,
+        comp.stride,
         clock,
     )
 
@@ -358,7 +363,7 @@ def enumerate_individually_optimal(
     while trail:
         clock.tick()
         if trail[-1][0] == comp.goals:
-            out.append(_solution_from_states(comp.cells, [key[0] for key in trail]))
+            out.append(_solution_from_states(comp.stride, [key[0] for key in trail]))
             if limit is not None and len(out) >= limit:
                 break
             moves.append(iter(()))
@@ -484,11 +489,12 @@ def _optimal_flowtime(
                 link = parent[state]
             states.append(state[0])
             states.reverse()
-            return g, _solution_from_states(comp.cells, states)
+            return g, _solution_from_states(comp.stride, states)
         for nxt_state, cost, was_move in successors(state):
             ng = g + cost
             if ng < best.get(nxt_state, ng + 1):
                 best[nxt_state] = ng
+                clock.hold(len(best))
                 parent[nxt_state] = (state, was_move)
                 heapq.heappush(
                     heap, (ng + h(nxt_state[0], nxt_state[1]), ng, next(counter), nxt_state)
@@ -648,7 +654,7 @@ def _team_descent(
             return None
         return _keys(_joint_moves(cur, active, choices, static_cells, model), cur, t, done, stayers)
 
-    return _dfs((starts, 0, 0), expand, kernel.cells, clock)
+    return _dfs((starts, 0, 0), expand, kernel.stride, clock)
 
 
 def assignment_minimal_lower_bound(instance: Instance) -> Optional[int]:

@@ -163,7 +163,7 @@ def plan_monotone_path(
         if row in rows and 0 <= col < w:
             rows[row] &= ~(1 << (w - 1 - col))
     path = _reach_path(rows, w, start, goal, stats)
-    return None if path is None else MonotonePath(tuple(_id_cells(path, w)))
+    return None if path is None else MonotonePath(tuple(_id_cells(path, w + 1)))
 
 
 def _bit_rows(grid: GridMap, rows: range) -> dict[int, int]:
@@ -183,8 +183,8 @@ def _reach_path(
     """``plan_monotone_path`` over row ints: ``rows[r]`` holds the cells of
     row ``r`` a path may enter, column ``c`` at bit ``width - 1 - c``, so
     that a right move goes to the next lower bit.  ``start`` is not right
-    of or below ``goal``.  Returns the path as framed ids
-    ``(row + 1) * width + col``, or None.  The sweep and the walk are the
+    of or below ``goal``.  Returns the path as the kernel's framed ids
+    ``(row + 1) * (width + 1) + col``, or None.  The sweep and the walk are the
     module docstring's."""
     (sc, sr), (gc, gr) = start, goal
     hi, lo = width - 1 - sc, width - 1 - gc
@@ -205,11 +205,11 @@ def _reach_path(
     # the goal or has a right or lower neighbour in a reach set, so in each
     # row the path goes right from bit b while the right cell reaches the
     # goal, to bit e, then down.
-    path, cid, b = [], (sr + 1) * width + sc, hi
+    path, cid, b = [], (sr + 1) * (width + 1) + sc, hi
     for row in reversed(reach):
         e = (((1 << b) - 1) & ~row).bit_length()
         path += range(cid, cid + b - e + 1)
-        cid += b - e + width
+        cid += b - e + width + 1
         b = e
     return path
 
@@ -252,11 +252,9 @@ def solve_two_dir(
                 stats.planned_agents += 1
             found[agent.id] = path
             if agent is not group[-1]:
-                for row, col in map(divmod, path, repeat(w)):  # open, so xor clears
+                for row, col in map(divmod, path, repeat(w + 1)):  # open, so xor clears
                     barred[row - 1] ^= 1 << (w - 1 - col)
         for agent in group:
             rows[agent.goal.row] &= ~(1 << (w - 1 - agent.goal.col))
 
-    return Solution(
-        tuple(TimedPath(tuple(_id_cells(found[a.id], w))) for a in instance.agents)
-    )
+    return Solution(tuple(TimedPath._from_ids(found[a.id], w + 1) for a in instance.agents))

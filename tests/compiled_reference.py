@@ -24,7 +24,7 @@ class ReferenceCompiled:
         kernel = TableKernel(instance.grid)
         dirs = instance.directions
         self.instance = instance
-        self.cells = kernel.cells
+        self.stride = kernel.stride
         self.nbr = kernel.neighbours(dirs)
         self.steps = kernel.steps(dirs)
         self.starts = tuple(kernel.cid(a.start) for a in instance.agents)

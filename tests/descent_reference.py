@@ -38,7 +38,7 @@ def reference_individually_optimal(instance, model, clock):
         cur = stack.pop()
         clock.tick()
         if cur == comp.goals:
-            return Witness(True, _solution_from_states(comp.cells, _trail(parent, cur)))
+            return Witness(True, _solution_from_states(comp.stride, _trail(parent, cur)))
         for nxt in clock.paced(comp.descent_moves(cur, model)):
             if nxt not in parent:
                 parent[nxt] = cur
@@ -59,7 +59,7 @@ def reference_enumerate(instance, model, limit, clock):
     while trail:
         clock.tick()
         if trail[-1] == comp.goals:
-            out.append(_solution_from_states(comp.cells, trail))
+            out.append(_solution_from_states(comp.stride, trail))
             if limit is not None and len(out) >= limit:
                 break
             moves.append(iter(()))
@@ -96,7 +96,7 @@ def reference_makespan_at_most(instance, bound, model, clock):
         clock.tick()
         if cur == goals:
             states = [k[0] for k in _trail(parent, key)]
-            return Witness(True, _solution_from_states(comp.cells, states))
+            return Witness(True, _solution_from_states(comp.stride, states))
         if t == bound:
             continue
         remaining = bound - t - 1

@@ -77,7 +77,7 @@ def reference_optimal_flowtime(instance, model=VERTEX_EDGE, budget=DEFAULT_BUDGE
                 link = parent[state]
             states.append(state[0])
             states.reverse()
-            return g, _solution_from_states(comp.cells, states)
+            return g, _solution_from_states(comp.stride, states)
         for nxt_state, cost, was_move in successors(state):
             ng = g + cost
             if ng < best.get(nxt_state, ng + 1):

@@ -33,7 +33,7 @@ class TableKernel:
         self.grid = grid
         ids = _GridKernel(grid)
         self.size, self.cid, self.cells, self.at = len(ids.free), ids.cid, ids.cells, ids.at
-        self.steps = ids.steps
+        self.steps, self.stride = ids.steps, ids.stride
         self._tables = {}
         self._fields = {}
 

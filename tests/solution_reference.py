@@ -1,13 +1,27 @@
-"""The solution reader and writer as they were before they walked cell ids.
+"""The solution reader, writer and validator as they were before they
+worked on cell ids.
 
 ``reference_read_solution`` builds one ``Cell`` and tests one step per
 letter, in order, so its first error is the first failing step by
 construction.  ``test_files`` requires the library's reader to give the
 same ``Solution`` or the same error text, apart from the ``line N: ``
 prefix the library adds to move errors, and its writer the same text.
+``reference_validate`` compares every pair of agents at every step,
+O(T * N^2), on ``Cell``s, and classifies single-agent steps through the
+``Direction`` Enum; ``test_validator`` requires the library's validator
+to return the same conflicts apart from cycles, or the same error.
 """
 
-from gridmapf.core import Cell, Direction, Instance, Solution, TimedPath
+from gridmapf.core import (
+    Cell,
+    Conflict,
+    ConflictReport,
+    Direction,
+    Instance,
+    Solution,
+    TimedPath,
+    _team_assignment_ok,
+)
 from gridmapf.files import FileFormatError
 
 _STEP_LETTERS = {d.value: d.letter for d in Direction}
@@ -72,3 +86,77 @@ def reference_read_solution(text: str, instance: Instance) -> Solution:
     if extra:
         raise FileFormatError(f"unknown agent ids {sorted(extra)}")
     return Solution(tuple(paths))
+
+
+def reference_direction_between(a, b):
+    delta = (b.col - a.col, b.row - a.row)
+    for d in Direction:
+        if d.value == delta:
+            return d
+    return None
+
+
+def reference_validate(instance, solution, model):
+    """The pairwise O(T * N^2) validator, without cycle conflicts."""
+    if len(solution.paths) != instance.num_agents:
+        raise ValueError(
+            f"solution has {len(solution.paths)} paths for {instance.num_agents} agents"
+        )
+    for agent, path in zip(instance.agents, solution.paths):
+        if path.start != agent.start:
+            raise ValueError(f"agent {agent.id}: path starts at {path.start}, not {agent.start}")
+    if instance.teams is None:
+        for agent, path in zip(instance.agents, solution.paths):
+            if path.end != agent.goal:
+                raise ValueError(f"agent {agent.id}: path ends at {path.end}, not {agent.goal}")
+    else:
+        problem = _team_assignment_ok(instance, solution)
+        if problem is not None:
+            raise ValueError(problem)
+
+    conflicts = []
+    ids = [a.id for a in instance.agents]
+    paths = solution.paths
+    n = len(paths)
+    horizon = max((len(p.cells) for p in paths), default=1)
+
+    for idx, path in enumerate(paths):
+        for t, cell in enumerate(path.cells):
+            if not instance.grid.is_free(cell):
+                conflicts.append(Conflict(t, "illegal-step", (ids[idx],), (cell,)))
+        for t in range(1, len(path.cells)):
+            a, b = path.cells[t - 1], path.cells[t]
+            d = reference_direction_between(a, b)
+            if d is None:
+                conflicts.append(Conflict(t, "illegal-step", (ids[idx],), (a, b)))
+            elif d is Direction.WAIT:
+                if not instance.directions.waits_allowed:
+                    conflicts.append(Conflict(t, "illegal-step", (ids[idx],), (a,)))
+            elif d not in instance.directions:
+                conflicts.append(Conflict(t, "illegal-step", (ids[idx],), (a, b)))
+
+    for t in range(horizon):
+        here = [p.at(t) for p in paths]
+        if model.forbid_vertex:
+            seen = {}
+            for i, cell in enumerate(here):
+                if cell in seen:
+                    conflicts.append(Conflict(t, "vertex", (ids[seen[cell]], ids[i]), (cell,)))
+                else:
+                    seen[cell] = i
+        if t == 0:
+            continue
+        prev = [p.at(t - 1) for p in paths]
+        if model.forbid_edge:
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if prev[i] != here[i] and here[i] == prev[j] and here[j] == prev[i]:
+                        conflicts.append(Conflict(t, "edge", (ids[i], ids[j]), (prev[i], here[i])))
+        if model.forbid_following:
+            for i in range(n):
+                if here[i] == prev[i]:
+                    continue
+                for j in range(n):
+                    if j != i and here[i] == prev[j] and here[j] != prev[j]:
+                        conflicts.append(Conflict(t, "following", (ids[i], ids[j]), (here[i],)))
+    return ConflictReport(tuple(conflicts))

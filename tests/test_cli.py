@@ -2,6 +2,7 @@
 
 import pytest
 
+from gridmapf import core
 from gridmapf.cli import cli_dispatch
 from gridmapf.files import read_map, read_agents, read_solution, read_metadata
 
@@ -174,7 +175,11 @@ class TestSolveAndOracle:
         assert run("delta", *files, "--timeout", "0") == 2
         assert run("oracle", *files, "--mode", "flowtime", "--timeout", "60") == 0
 
-    def test_solution_revalidates_through_verify(self, workdir):
+    def test_solution_revalidates_through_verify(self, workdir, monkeypatch):
+        def no_cells(ids, stride):
+            raise AssertionError("a path's cells were built")
+
+        monkeypatch.setattr(core, "_id_cells", no_cells)  # paths stay ids
         run(
             "solve2dir", workdir / "dr.map", workdir / "yes.agents",
             "--out", workdir / "yes.sol",

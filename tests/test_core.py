@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridmapf import core
 from gridmapf.core import (
     AgentTask,
     ALL_CONFLICTS,
@@ -423,6 +424,67 @@ class TestTimedPath:
     def test_mid_path_wait_kept(self):
         p = TimedPath.from_cells([Cell(0, 0), Cell(0, 0), Cell(1, 0)])
         assert p.cost == 2
+
+    def test_id_built_path_equals_and_hashes_as_cell_built(self):
+        # framed ids (row + 1) * 4 + col on a width-3 grid, with trailing waits
+        ids = TimedPath._from_ids([4, 5, 9, 10, 10], 4)
+        cells = TimedPath((Cell(0, 0), Cell(1, 0), Cell(1, 1), Cell(2, 1)))
+        assert ids == cells and cells == ids and hash(ids) == hash(cells)
+        assert TimedPath._from_ids([4, 5, 9, 10], 4) == ids
+        assert TimedPath._from_ids([4, 5, 9], 4) != ids
+        # another stride naming the same cells
+        assert TimedPath._from_ids([6, 7, 13, 14], 6) == ids
+        assert Solution((ids,)) == Solution((cells,))
+        assert hash(Solution((ids,))) == hash(Solution((cells,)))
+        assert repr(ids) == repr(cells)
+
+    def test_threads_reading_one_id_built_path_agree(self):
+        # Reading cells drops the ids; a reader racing it must still see
+        # one of the two forms whole.
+        import sys
+        import threading
+
+        # a snake over a 5x4 grid, 20 cells
+        cells = tuple(Cell(c if r % 2 == 0 else 4 - c, r) for r in range(4) for c in range(5))
+        twins = [TimedPath(cells) for _ in range(400)]
+        paths = [TimedPath._from_ids([(r + 1) * 6 + c for c, r in cells], 6) for _ in range(400)]
+        failures = []
+
+        def read(kind):
+            try:
+                for path, twin in zip(paths, twins):
+                    got = path.cells if kind == 0 else path == twin if kind == 1 else path.at(7)
+                    assert got == (cells, True, cells[7])[kind]
+                    assert (path.cost, path.start, path.end) == (19, cells[0], cells[-1])
+            except Exception as e:  # reported below, with the thread's kind
+                failures.append((kind, repr(e)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k % 3,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+    def test_id_built_path_reads_cost_start_end_at_without_cells(self, monkeypatch):
+        def no_cells(ids, stride):
+            raise AssertionError("a path's cells were built")
+
+        monkeypatch.setattr(core, "_id_cells", no_cells)
+        p = TimedPath._from_ids([4, 5, 9, 10, 10], 4)
+        assert p.cost == 3
+        assert (p.start, p.end) == (Cell(0, 0), Cell(2, 1))
+        assert [p.at(t) for t in range(6)] == [
+            Cell(0, 0), Cell(1, 0), Cell(1, 1), Cell(2, 1), Cell(2, 1), Cell(2, 1)
+        ]
+        monkeypatch.undo()
+        assert p.cells == (Cell(0, 0), Cell(1, 0), Cell(1, 1), Cell(2, 1))
 
     def test_padding_invariance_of_validation(self):
         grid = GridMap(3, 3)

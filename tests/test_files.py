@@ -2,10 +2,13 @@
 
 from dataclasses import replace
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gridmapf import core
 from gridmapf.core import (
     AgentTask,
     Cell,
@@ -17,6 +20,7 @@ from gridmapf.core import (
     Instance,
     Solution,
     TimedPath,
+    validate_solution,
 )
 from gridmapf.files import (
     FileFormatError,
@@ -251,6 +255,36 @@ class TestSolutionFormat:
             "line 1: agent 0: step 1 moves into Cell(col=-1, row=1), which is not free"
         )
 
+    def test_solve_write_read_validate_build_no_cell(self, monkeypatch):
+        # 40 down+right agents on a 64x64 grid, each kept only if the
+        # instance stays solvable.
+        rng = random.Random(64)
+        grid = GridMap(64, 64, {Cell(rng.randrange(64), rng.randrange(64)) for _ in range(400)})
+        agents = []
+        while len(agents) < 40:
+            s = Cell(rng.randrange(64), rng.randrange(64))
+            g = Cell(min(63, s.col + rng.randrange(24)), min(63, s.row + rng.randrange(24)))
+            taken = any(s == a.start or g == a.goal for a in agents)
+            if taken or not (grid.is_free(s) and grid.is_free(g)):
+                continue
+            trial = Instance(grid, (*agents, AgentTask(len(agents), s, g)), DOWN_RIGHT)
+            if solve_two_dir(trial) is not None:
+                agents = list(trial.agents)
+        inst = Instance(grid, tuple(agents), DOWN_RIGHT)
+
+        def no_cells(ids, stride):
+            raise AssertionError("a path's cells were built")
+
+        monkeypatch.setattr(core, "_id_cells", no_cells)
+        sol = solve_two_dir(inst)
+        text = write_solution(inst, sol)
+        back = read_solution(text, inst)
+        assert validate_solution(inst, back).ok
+        assert back == sol
+        monkeypatch.undo()
+        assert text == reference_write_solution(inst, sol)
+        assert back.paths[0].cells == sol.paths[0].cells
+
     def test_missing_agent(self):
         inst = small_instance()
         with pytest.raises(FileFormatError):
@@ -337,9 +371,13 @@ def test_writer_matches_the_reference_on_any_walk(walk_steps):
         paths.append(TimedPath.from_cells(walk))
     instance = Instance(GridMap(len(agents), 2), tuple(agents), FOUR_DIRECTIONS)
     solution = Solution(tuple(paths))
-    assert outcome(write_solution, instance, solution) == outcome(
-        reference_write_solution, instance, solution
-    )
+    expected = outcome(reference_write_solution, instance, solution)
+    assert outcome(write_solution, instance, solution) == expected
+    # The same walks as framed ids, where a frame of that stride holds them.
+    s = len(agents) + 1
+    if all(0 <= col < s - 1 and row >= -1 for p in paths for col, row in p.cells):
+        ids = [TimedPath._from_ids([(r + 1) * s + c for c, r in p.cells], s) for p in paths]
+        assert outcome(write_solution, instance, Solution(tuple(ids))) == expected
 
 
 class TestMetadataFormat:

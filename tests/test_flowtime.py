@@ -68,14 +68,29 @@ def test_delta_is_zero_on_the_compiled_sat_family(n):
     assert delta(inst, budget=SearchBudget(max_seconds=10)) == 0
 
 
-def test_deadline_interrupts_one_wide_expansion():
-    # Nine agents on an open 5x5 grid with waits: one A* expansion enumerates
-    # up to 5**9 joint moves, and the strict-descent search says NO at once.
+def wide_expansion_instance():
+    """Nine agents on an open 5x5 grid with waits: one A* expansion
+    enumerates up to 5**9 joint moves, and the strict-descent search says
+    NO at once."""
     starts = [(4, 3), (3, 1), (1, 2), (0, 4), (1, 3), (0, 0), (4, 2), (2, 1), (1, 0)]
     goals = [(0, 1), (3, 0), (1, 2), (0, 3), (2, 1), (2, 2), (2, 3), (3, 4), (0, 4)]
     agents = tuple(AgentTask(i, Cell(*s), Cell(*g)) for i, (s, g) in enumerate(zip(starts, goals)))
-    inst = Instance(GridMap(5, 5), agents, FOUR_DIRECTIONS)
+    return Instance(GridMap(5, 5), agents, FOUR_DIRECTIONS)
+
+
+def test_deadline_interrupts_one_wide_expansion():
+    inst = wide_expansion_instance()
     began = time.perf_counter()
     with pytest.raises(BudgetExceededError):
         delta(inst, budget=SearchBudget(max_seconds=0.5))
     assert time.perf_counter() - began < 2
+
+
+def test_state_budget_bounds_the_astar_table():
+    # Counting expansions alone, 40 states took seconds and 100s of MB
+    # here: one expansion pushed every joint move it generated.
+    inst = wide_expansion_instance()
+    began = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="state budget of 40"):
+        delta(inst, budget=SearchBudget(max_states=40))
+    assert time.perf_counter() - began < 0.5

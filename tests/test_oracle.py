@@ -115,7 +115,7 @@ def enumerate_memoized(instance, model=VERTEX_EDGE):
             for tail in suffixes(nxt)
         )
 
-    return [_solution_from_states(comp.cells, states) for states in suffixes((comp.starts, 0, 0))]
+    return [_solution_from_states(comp.stride, states) for states in suffixes((comp.starts, 0, 0))]
 
 
 class TestExistsIndividuallyOptimal:

@@ -1,10 +1,12 @@
 """Differential tests of ``validate_solution`` against the pairwise reference.
 
-The reference is the validator as first written: it compares every pair of
-agents at every step, O(T * N^2), and classifies single-agent steps through
-the ``Direction`` Enum.  The library's validator must return the same
-ordered tuple of the other conflicts, or raise the same ``ValueError``, on
-every input.  Cycle conflicts are checked against the brute force of
+The reference, ``solution_reference.reference_validate``, is the validator
+as first written: it compares every pair of agents at every step, O(T *
+N^2), and classifies single-agent steps through the ``Direction`` Enum.
+The library's validator must return the same ordered tuple of the other
+conflicts, or raise the same ``ValueError``, on every input, and the same
+report whether its paths were built from cells or from framed cell ids.
+Cycle conflicts are checked against the brute force of
 ``rotation_reference``: at each step, the union of their members must be
 the agents in some rotating subset of the movers.
 """
@@ -14,100 +16,28 @@ import itertools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
+from gridmapf import core
 from gridmapf.core import (
     FOUR_DIRECTIONS,
     MOTION_DIRECTIONS,
     AgentTask,
     Cell,
-    Conflict,
     ConflictModel,
     ConflictReport,
-    Direction,
     DirectionSet,
     GridMap,
     Instance,
     Solution,
     TimedPath,
-    _team_assignment_ok,
     validate_solution,
 )
+from gridmapf.files import write_solution
 from rotation_reference import rotating_movers
+from solution_reference import reference_validate
 
 ALL_MODELS = [ConflictModel(*flags) for flags in itertools.product((False, True), repeat=4)]
-
-
-def reference_direction_between(a, b):
-    delta = (b.col - a.col, b.row - a.row)
-    for d in Direction:
-        if d.value == delta:
-            return d
-    return None
-
-
-def reference_validate(instance, solution, model):
-    """The pairwise O(T * N^2) validator, without cycle conflicts."""
-    if len(solution.paths) != instance.num_agents:
-        raise ValueError(
-            f"solution has {len(solution.paths)} paths for {instance.num_agents} agents"
-        )
-    for agent, path in zip(instance.agents, solution.paths):
-        if path.start != agent.start:
-            raise ValueError(f"agent {agent.id}: path starts at {path.start}, not {agent.start}")
-    if instance.teams is None:
-        for agent, path in zip(instance.agents, solution.paths):
-            if path.end != agent.goal:
-                raise ValueError(f"agent {agent.id}: path ends at {path.end}, not {agent.goal}")
-    else:
-        problem = _team_assignment_ok(instance, solution)
-        if problem is not None:
-            raise ValueError(problem)
-
-    conflicts = []
-    ids = [a.id for a in instance.agents]
-    paths = solution.paths
-    n = len(paths)
-    horizon = max((len(p.cells) for p in paths), default=1)
-
-    for idx, path in enumerate(paths):
-        for t, cell in enumerate(path.cells):
-            if not instance.grid.is_free(cell):
-                conflicts.append(Conflict(t, "illegal-step", (ids[idx],), (cell,)))
-        for t in range(1, len(path.cells)):
-            a, b = path.cells[t - 1], path.cells[t]
-            d = reference_direction_between(a, b)
-            if d is None:
-                conflicts.append(Conflict(t, "illegal-step", (ids[idx],), (a, b)))
-            elif d is Direction.WAIT:
-                if not instance.directions.waits_allowed:
-                    conflicts.append(Conflict(t, "illegal-step", (ids[idx],), (a,)))
-            elif d not in instance.directions:
-                conflicts.append(Conflict(t, "illegal-step", (ids[idx],), (a, b)))
-
-    for t in range(horizon):
-        here = [p.at(t) for p in paths]
-        if model.forbid_vertex:
-            seen = {}
-            for i, cell in enumerate(here):
-                if cell in seen:
-                    conflicts.append(Conflict(t, "vertex", (ids[seen[cell]], ids[i]), (cell,)))
-                else:
-                    seen[cell] = i
-        if t == 0:
-            continue
-        prev = [p.at(t - 1) for p in paths]
-        if model.forbid_edge:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if prev[i] != here[i] and here[i] == prev[j] and here[j] == prev[i]:
-                        conflicts.append(Conflict(t, "edge", (ids[i], ids[j]), (prev[i], here[i])))
-        if model.forbid_following:
-            for i in range(n):
-                if here[i] == prev[i]:
-                    continue
-                for j in range(n):
-                    if j != i and here[i] == prev[j] and here[j] != prev[j]:
-                        conflicts.append(Conflict(t, "following", (ids[i], ids[j]), (here[i],)))
-    return ConflictReport(tuple(conflicts))
 
 
 # Single steps, including waits, jumps and diagonals; a walk may leave the
@@ -164,6 +94,20 @@ def validation_cases(draw, max_side=6):
         walks.append(walk)
     solution = Solution(tuple(TimedPath.from_cells(w) for w in walks))
     return instance, solution
+
+
+def framed(instance, solution):
+    """``solution`` with each path that the instance's kernel frame can hold
+    as ids (cells in columns 0 .. width - 1, from row -1 down) rebuilt from
+    its framed ids ``(row + 1) * (width + 1) + col``; ids past the frame's
+    last row are kept."""
+    s = instance.grid.width + 1
+    paths = []
+    for path in solution.paths:
+        if all(0 <= col < s - 1 and row >= -1 for col, row in path.cells):
+            path = TimedPath._from_ids([(row + 1) * s + col for col, row in path.cells], s)
+        paths.append(path)
+    return Solution(tuple(paths))
 
 
 def outcome(validate, instance, solution, model):
@@ -275,6 +219,7 @@ def test_validator_matches_pairwise_reference(case):
     for model in ALL_MODELS:
         expected = outcome(reference_validate, instance, solution, model)
         got = outcome(validate_solution, instance, solution, model)
+        assert outcome(validate_solution, instance, framed(instance, solution), model) == got
         if not isinstance(expected, ConflictReport):
             assert got == expected
             continue
@@ -294,3 +239,34 @@ def test_cycle_through_a_shared_cell_under_both_numberings():
     for order in ((0, 1, 2), (1, 0, 2)):
         instance, solution = shared_cell_case(order)
         assert validate_solution(instance, solution, model).kinds() == {"cycle"}
+
+
+def test_an_off_grid_cell_whose_id_names_a_free_cell_is_still_illegal():
+    # On a width-1 grid Cell(2, 0) and Cell(0, 1) share the framed id 4:
+    # lowered alone, this path would read as two legal down moves.
+    instance = Instance(GridMap(1, 3), (AgentTask(0, Cell(0, 0), Cell(0, 2)),), FOUR_DIRECTIONS)
+    solution = Solution((TimedPath((Cell(0, 0), Cell(2, 0), Cell(0, 2))),))
+    report = validate_solution(instance, solution)
+    assert report == reference_validate(instance, solution, ConflictModel())
+    assert [(c.time, c.cells) for c in report.conflicts] == [
+        (1, (Cell(2, 0),)),
+        (1, (Cell(0, 0), Cell(2, 0))),
+        (2, (Cell(2, 0), Cell(0, 2))),
+    ]
+    with pytest.raises(ValueError, match=r"Cell\(col=0, row=0\) -> Cell\(col=2, row=0\) is not a"):
+        write_solution(instance, solution)
+
+
+def test_id_built_paths_are_checked_without_cells(monkeypatch):
+    # The agents meet on (1,1) at t=2; only that conflict's cell is built.
+    instance, solution = walks_case(
+        3, 3, [[(0, 1), (0, 1), (1, 1), (2, 1)], [(1, 0), (1, 0), (1, 1), (1, 2)]]
+    )
+    solution = framed(instance, solution)
+
+    def no_cells(ids, stride):
+        raise AssertionError("a path's cells were built")
+
+    monkeypatch.setattr(core, "_id_cells", no_cells)
+    report = validate_solution(instance, solution)
+    assert [(c.time, c.kind, c.cells) for c in report.conflicts] == [(2, "vertex", (Cell(1, 1),))]
