@@ -27,7 +27,6 @@ from .core import (
     VERTEX_EDGE,
     is_individually_optimal,
     lower_bound_cost,
-    shortest_dist_field,
     validate_solution,
 )
 from .formula import (
@@ -70,14 +69,11 @@ from .reduction import (
     verify_construction,
 )
 from .twodir import (
-    MonotonePath,
     SolverStats,
     check_two_directional,
     diagonal_key,
     partition_diagonals,
-    plan_monotone_path,
     solve_two_dir,
-    weakly_above,
 )
 
 __version__ = "0.1.0"

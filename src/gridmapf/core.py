@@ -264,11 +264,11 @@ class TimedPath:
     A path is built from its cells, or by ``_from_ids`` from the framed ids
     ``(row + 1) * stride + col`` of its cells (see ``_GridKernel``), as the
     down+right planner, the solution reader and the oracles' witnesses
-    build theirs.  The validator and the solution writer read those ids;
-    ``cells`` is built from them on first read only, and replaces them, so
-    a path never holds both.  ``cost``, ``start``, ``end`` and ``at`` do
-    not build it.  Paths compare and hash by their cells, whichever way
-    they were built.
+    build theirs.  The validator and the solution writer read those ids
+    through ``_solution_ids``; ``cells`` is built from them on first read
+    only, and replaces them, so a path never holds both.  ``cost``,
+    ``start``, ``end`` and ``at`` do not build it.  Paths compare and hash
+    by their cells, whichever way they were built.
     """
 
     __slots__ = ("_cells", "_ids", "_stride")
@@ -589,21 +589,6 @@ def _bfs(free: bytes, steps: tuple[int, ...], source: int, dist: MutableSequence
     return order
 
 
-def shortest_dist_field(grid: GridMap, goal: Cell, dirs: DirectionSet) -> dict[Cell, int]:
-    """Exact move count from every free cell to ``goal`` under ``dirs``.
-
-    Cells absent from the returned mapping cannot reach the goal.  Computed
-    by BFS from the goal over reversed moves; waits never shorten a path and
-    are ignored.  The mapping is new on every call and lists cells in BFS
-    order.
-    """
-    if not grid.is_free(goal):
-        raise ValueError(f"goal {goal} is not a free cell of the grid")
-    kernel = _GridKernel(grid)
-    dist, order = kernel._field(kernel.cid(goal), dirs, True)
-    return dict(zip(kernel.cells(order), [dist[cid] for cid in order]))
-
-
 def _team_assignment_ok(instance: Instance, solution: Solution) -> Optional[str]:
     """Check that paths end on a bijection of each team's targets."""
     assert instance.teams is not None
@@ -698,7 +683,8 @@ def _solution_ids(
 ) -> tuple[list[Sequence[int]], int, int, int, bytes]:
     """The paths as framed ids ``(row - top) * stride + col - left`` in one
     frame that holds every cell they name, with that frame's free mask:
-    (ids per path, stride, top, left, mask).
+    (ids per path, stride, top, left, mask).  The validator and the
+    solution writer read paths through this lowering only.
 
     Mostly that is the kernel's frame (top -1, left 0, stride ``width +
     1``): an id-built path of that stride keeps its ids, and a path built

@@ -21,6 +21,7 @@ from .core import (
     Solution,
     TimedPath,
     _GridKernel,
+    _solution_ids,
 )
 from .formula import format_formula, parse_formula
 from .reduction import ChannelSpec, LadderSpec, ReductionMetadata
@@ -166,18 +167,12 @@ _LETTER_STEPS = {letter: step for step, letter in _STEP_LETTERS.items()}
 
 
 def write_solution(instance: Instance, solution: Solution) -> str:
-    # On the kernel's framed ids each single step is one id difference.
-    s = instance.grid.width + 1
+    # On the validator's framed ids each single step is one id difference.
+    paths, s, *_ = _solution_ids(instance.grid, solution.paths)
     letters = {-s: "U", s: "D", -1: "L", 1: "R", 0: "W"}
     lines = []
-    for agent, path in zip(instance.agents, solution.paths):
-        ids = path._ids
-        if ids is not None and path._stride == s:
-            moves = list(map(letters.get, map(sub, ids[1:], ids)))
-        else:
-            cols, rows = zip(*path.cells)
-            steps = zip(map(sub, cols[1:], cols), map(sub, rows[1:], rows))
-            moves = list(map(_STEP_LETTERS.get, steps))
+    for agent, path, ids in zip(instance.agents, solution.paths, paths):
+        moves = list(map(letters.get, map(sub, ids[1:], ids)))
         if None in moves:
             t = moves.index(None)
             a, b = path.cells[t], path.cells[t + 1]
@@ -266,6 +261,8 @@ def read_metadata(text: str) -> ReductionMetadata:
         parts = line.split()
         try:
             if parts[0] == "variant":
+                if parts[1] not in ("base", "makespan"):
+                    raise FileFormatError(f"unknown variant {parts[1]!r}", lineno)
                 variant = parts[1]
             elif parts[0] == "const":
                 consts[parts[1]] = None if parts[2] == "-" else int(parts[2])
@@ -276,6 +273,10 @@ def read_metadata(text: str) -> ReductionMetadata:
                     ChannelSpec(int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4]))
                 )
             elif parts[0] == "ladder":
+                if parts[1] not in ("clause", "var"):
+                    raise FileFormatError(f"unknown ladder owner {parts[1]!r}", lineno)
+                if parts[3] not in ("v", "h"):
+                    raise FileFormatError(f"unknown ladder kind {parts[3]!r}", lineno)
                 ladders.append(
                     LadderSpec(
                         parts[1], int(parts[2]), parts[3], int(parts[4]),

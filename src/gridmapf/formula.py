@@ -122,7 +122,8 @@ def parse_formula(text: str) -> MonotoneFormula:
         if parts[0] == "vars":
             if num_vars is not None:
                 raise FormulaError("duplicate vars directive", lineno)
-            if len(parts) != 2 or not parts[1].isdigit():
+            # isdecimal, not isdigit: int() rejects digits such as "²".
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise FormulaError("expected: vars <n>", lineno)
             num_vars = int(parts[1])
         elif parts[0] == "clause":
@@ -130,7 +131,7 @@ def parse_formula(text: str) -> MonotoneFormula:
                 raise FormulaError("vars directive must come first", lineno)
             if len(parts) < 4 or len(parts) > 6:
                 raise FormulaError("expected: clause <id> <+|-> <v1> [v2 [v3]]", lineno)
-            if not parts[1].lstrip("-").isdigit():
+            if not parts[1].lstrip("-").isdecimal():
                 raise FormulaError(f"bad clause id {parts[1]!r}", lineno)
             cid = int(parts[1])
             if cid in seen_ids:

@@ -41,18 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Optional
+from typing import Optional
 
-from .core import (
-    AgentTask,
-    Cell,
-    Direction,
-    GridMap,
-    Instance,
-    Solution,
-    TimedPath,
-    _id_cells,
-)
+from .core import AgentTask, Cell, Direction, GridMap, Instance, Solution, TimedPath
 
 # Translates a 0/1 free mask into binary digits.
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -61,45 +52,6 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 def diagonal_key(cell: Cell) -> int:
     """Anti-diagonal index of a cell; each down/right move increases it by 1."""
     return cell.col + cell.row
-
-
-@dataclass(frozen=True)
-class MonotonePath:
-    """A down/right-only path, one move per time step, no waits."""
-
-    cells: tuple[Cell, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", tuple(self.cells))
-        if not self.cells:
-            raise ValueError("empty monotone path")
-        for a, b in zip(self.cells, self.cells[1:]):
-            if not (
-                (b.col == a.col + 1 and b.row == a.row)
-                or (b.col == a.col and b.row == a.row + 1)
-            ):
-                raise ValueError(f"step {a} -> {b} is not a down or right move")
-
-    @property
-    def start(self) -> Cell:
-        return self.cells[0]
-
-    @property
-    def end(self) -> Cell:
-        return self.cells[-1]
-
-    @property
-    def length(self) -> int:
-        return len(self.cells) - 1
-
-    @property
-    def move_string(self) -> str:
-        return "".join(
-            "R" if b.col > a.col else "D" for a, b in zip(self.cells, self.cells[1:])
-        )
-
-    def to_timed_path(self) -> TimedPath:
-        return TimedPath(self.cells)
 
 
 @dataclass
@@ -137,55 +89,27 @@ def partition_diagonals(instance: Instance) -> list[list[AgentTask]]:
     return ordered
 
 
-def plan_monotone_path(
-    grid: GridMap,
-    blocked: Iterable[Cell],
-    start: Cell,
-    goal: Cell,
-    *,
-    stats: Optional[SolverStats] = None,
-) -> Optional[MonotonePath]:
-    """The down/right path from ``start`` to ``goal`` that avoids ``blocked``.
-
-    Returns the path whose move string is lexicographically smallest under
-    Right < Down, i.e. the highest feasible monotone path, or None when no
-    monotone path avoids the blocked cells.  Only the rows of the start-goal
-    bounding box are read, and the cost is one big-int step per box row
-    (see ``_reach_path``).
-    """
-    if not grid.is_free(start) or not grid.is_free(goal):
-        return None
-    if goal.col < start.col or goal.row < start.row:
-        return None
-    w = grid.width
-    rows = _bit_rows(grid, range(start.row, goal.row + 1))
-    for col, row in blocked:
-        if row in rows and 0 <= col < w:
-            rows[row] &= ~(1 << (w - 1 - col))
-    path = _reach_path(rows, w, start, goal, stats)
-    return None if path is None else MonotonePath(tuple(_id_cells(path, w + 1)))
-
-
-def _bit_rows(grid: GridMap, rows: range) -> dict[int, int]:
-    """Each row of ``rows`` as an int whose bit ``width - 1 - c`` is set
-    where column ``c`` is free."""
+def _bit_rows(grid: GridMap) -> list[int]:
+    """Each grid row as an int whose bit ``width - 1 - c`` is set where
+    column ``c`` is free."""
     w, free = grid.width, grid.free
-    return {r: int(free[r * w : (r + 1) * w].translate(_DIGITS), 2) for r in rows}
+    return [int(free[r * w : (r + 1) * w].translate(_DIGITS), 2) for r in range(grid.height)]
 
 
 def _reach_path(
-    rows: dict[int, int],
+    rows: list[int],
     width: int,
     start: Cell,
     goal: Cell,
     stats: Optional[SolverStats],
 ) -> Optional[list[int]]:
-    """``plan_monotone_path`` over row ints: ``rows[r]`` holds the cells of
-    row ``r`` a path may enter, column ``c`` at bit ``width - 1 - c``, so
-    that a right move goes to the next lower bit.  ``start`` is not right
-    of or below ``goal``.  Returns the path as the kernel's framed ids
-    ``(row + 1) * (width + 1) + col``, or None.  The sweep and the walk are the
-    module docstring's."""
+    """The highest down/right path from ``start`` to ``goal`` over row ints:
+    ``rows[r]`` holds the cells of row ``r`` a path may enter, column ``c``
+    at bit ``width - 1 - c``, so that a right move goes to the next lower
+    bit.  ``start`` is not right of or below ``goal``.  Returns the path as
+    the kernel's framed ids ``(row + 1) * (width + 1) + col``, or None when
+    no down/right path exists.  Only the rows of the start-goal box are
+    read.  The sweep and the walk are the module docstring's."""
     (sc, sr), (gc, gr) = start, goal
     hi, lo = width - 1 - sc, width - 1 - gc
     box = (2 << hi) - (1 << lo)
@@ -214,14 +138,6 @@ def _reach_path(
     return path
 
 
-def weakly_above(q: MonotonePath, p: MonotonePath) -> bool:
-    """True iff every cell of ``q`` is in a column of ``p``, no deeper than ``p`` there."""
-    deepest: dict[int, int] = {}
-    for cell in p.cells:
-        deepest[cell.col] = max(deepest.get(cell.col, -1), cell.row)
-    return all(cell.col in deepest and cell.row <= deepest[cell.col] for cell in q.cells)
-
-
 def solve_two_dir(
     instance: Instance,
     *,
@@ -240,7 +156,7 @@ def solve_two_dir(
     # goals of groups already planned.  Each group plans on a copy, in
     # which every path but the group's last bars its cells for the rest.
     w = instance.grid.width
-    rows = _bit_rows(instance.grid, range(instance.grid.height))
+    rows = _bit_rows(instance.grid)
     found: dict[int, list[int]] = {}
     for group in partition_diagonals(instance):
         barred = rows.copy()

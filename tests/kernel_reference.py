@@ -7,9 +7,29 @@ those tables.  ``TableKernel`` is that kernel: its tables hold the
 kernel's framed ids, so its fields index like the library's, but it
 reads the grid's own bounds and mask and never the frame, so a frame
 that fails to close a row or a column shows as a difference.
+
+``reference_bfs`` is a BFS over ``Cell``s, and ``shortest_dist_field``
+the table BFS's move counts to a goal keyed by ``Cell``: the distances
+that tests outside the kernel's check against.
 """
 
+from collections import deque
+
 from gridmapf.core import Cell, _GridKernel
+
+
+def reference_bfs(grid, source, steps):
+    """Move counts from ``source`` to every reachable free cell."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        cur = queue.popleft()
+        for dc, dr in steps:
+            nxt = Cell(cur.col + dc, cur.row + dr)
+            if grid.is_free(nxt) and nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                queue.append(nxt)
+    return dist
 
 
 def table_bfs(table, source, dist):
@@ -78,3 +98,13 @@ class TableKernel:
         if dist[goal] == -1:
             table_bfs(self.neighbours(dirs, reverse=True), goal, dist)
         return dist
+
+
+def shortest_dist_field(grid, goal, dirs):
+    """Move count to ``goal`` under ``dirs`` from every cell that reaches it,
+    keyed by ``Cell`` in BFS order: a table BFS over reversed moves."""
+    if not grid.is_free(goal):
+        raise ValueError(f"goal {goal} is not a free cell of the grid")
+    kernel = TableKernel(grid)
+    dist, order = kernel._field(kernel.cid(goal), dirs, True)
+    return dict(zip(kernel.cells(order), [dist[cid] for cid in order]))

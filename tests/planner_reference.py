@@ -8,10 +8,55 @@ down and returns the highest feasible path, the library's path.  With
 that tie-break is incomplete for several agents on one anti-diagonal,
 which the regression fixtures show, and it gives the lemma tests a
 second family of monotone paths.
+
+``MonotonePath`` and ``weakly_above`` are the lemma tests' path type and
+order; ``library_plan`` runs the library's one-agent sweep with extra
+blocked cells, as the reference's peer.
 """
 
-from gridmapf.core import Direction, Solution
-from gridmapf.twodir import MonotonePath, check_two_directional, partition_diagonals
+from dataclasses import dataclass
+
+from gridmapf import twodir
+from gridmapf.core import Direction, Solution, TimedPath
+from gridmapf.twodir import check_two_directional, partition_diagonals
+
+
+@dataclass(frozen=True)
+class MonotonePath:
+    """A down/right-only path, one move per time step, no waits."""
+
+    cells: tuple
+
+    def __post_init__(self):
+        for a, b in zip(self.cells, self.cells[1:]):
+            if (b.col - a.col, b.row - a.row) not in ((1, 0), (0, 1)):
+                raise ValueError(f"step {a} -> {b} is not a down or right move")
+
+    @property
+    def move_string(self):
+        return "".join("R" if b.col > a.col else "D" for a, b in zip(self.cells, self.cells[1:]))
+
+
+def weakly_above(q, p):
+    """True iff every cell of ``q`` is in a column of ``p``, no deeper than ``p`` there."""
+    deepest = {}
+    for cell in p.cells:
+        deepest[cell.col] = max(deepest.get(cell.col, -1), cell.row)
+    return all(cell.col in deepest and cell.row <= deepest[cell.col] for cell in q.cells)
+
+
+def library_plan(grid, blocked, start, goal, *, stats=None):
+    """``twodir``'s sweep for one agent on ``grid`` minus the ``blocked``
+    cells: its path as a ``MonotonePath``, or None."""
+    free = grid.is_free(start) and grid.is_free(goal)
+    if not free or goal.col < start.col or goal.row < start.row:
+        return None
+    w, rows = grid.width, twodir._bit_rows(grid)
+    for cell in blocked:
+        if grid.in_bounds(cell):
+            rows[cell.row] &= ~(1 << (w - 1 - cell.col))
+    ids = twodir._reach_path(rows, w, start, goal, stats)
+    return None if ids is None else MonotonePath(TimedPath._from_ids(ids, w + 1).cells)
 
 
 def reference_plan(grid, blocked, start, goal, *, right_first=True, stats=None):
@@ -82,4 +127,4 @@ def reference_solve(instance, *, right_first=True, stats=None):
         for agent in group:
             blocked.add(agent.goal)
 
-    return Solution(tuple(found[a.id].to_timed_path() for a in instance.agents))
+    return Solution(tuple(TimedPath(found[a.id].cells) for a in instance.agents))

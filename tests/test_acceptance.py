@@ -45,13 +45,9 @@ from gridmapf.reduction import (
     two_colored_variant,
     verify_construction,
 )
-from gridmapf.twodir import (
-    MonotonePath,
-    solve_two_dir,
-    weakly_above,
-)
+from gridmapf.twodir import solve_two_dir
 
-from planner_reference import reference_solve
+from planner_reference import MonotonePath, reference_solve, weakly_above
 
 FULL_SWEEP = os.environ.get("GRIDMAPF_FULL_SWEEP") == "1"
 

@@ -71,6 +71,16 @@ class TestCompile:
         (workdir / "bad.formula").write_text("vars 1\nclause 1 + 7\n")
         assert run("compile", workdir / "bad.formula", "--out-prefix", workdir / "x") == 1
 
+    @pytest.mark.parametrize("command", ["sat", "compile"])
+    @pytest.mark.parametrize(
+        "text, line", [("vars \u00b2\n", 1), ("vars 2\nclause \u00b2 + 1\n", 2)]
+    )
+    def test_non_ascii_digit_reports_line(self, workdir, capsys, command, text, line):
+        (workdir / "odd.formula").write_text(text, encoding="utf-8")
+        args = ["--out-prefix", workdir / "odd"] if command == "compile" else []
+        assert run(command, workdir / "odd.formula", *args) == 1
+        assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
     def test_deep_chain_reports_the_cell_cap(self, workdir, capsys):
         # 400 positive clauses, each nested in the one before: the nesting
         # validates at any depth and the layout stops at its cell cap.
@@ -269,6 +279,15 @@ class TestCompiledPipeline:
         assert capsys.readouterr().err == (
             "error: metadata does not match the instance: agent 3 has no clause\n"
         )
+
+    def test_verify_meta_of_an_unknown_variant_exits_one(self, workdir, capsys):
+        run("compile", workdir / "sat.formula", "--out-prefix", workdir / "m")
+        text = (workdir / "m.meta").read_text()
+        (workdir / "bogus.meta").write_text(text.replace("variant base", "variant bogus", 1))
+        capsys.readouterr()
+        args = ("verify", workdir / "m.map", workdir / "m.agents", "--meta", workdir / "bogus.meta")
+        assert run(*args) == 1
+        assert capsys.readouterr().err == "error: line 1: unknown variant 'bogus'\n"
 
     def test_render_meta_of_another_formula_exits_one(self, workdir, capsys):
         (workdir / "three.formula").write_text("vars 3\nclause 1 + 1 3\nclause 2 - 1 3\nclause 3 + 2\n")

@@ -23,9 +23,10 @@ from gridmapf.core import (
     VERTEX_EDGE,
     is_individually_optimal,
     lower_bound_cost,
-    shortest_dist_field,
     validate_solution,
 )
+
+from kernel_reference import reference_bfs, shortest_dist_field
 
 
 def neighbors(grid, cell, dirs):
@@ -38,26 +39,6 @@ def neighbors(grid, cell, dirs):
         if grid.is_free(nxt):
             result.append(nxt)
     return result
-
-
-def bfs_ref(grid, start, goal, dirs):
-    """Independent forward BFS used as the distance oracle in these tests."""
-    from collections import deque
-
-    if not grid.is_free(start) or not grid.is_free(goal):
-        return None
-    seen = {start: 0}
-    q = deque([start])
-    while q:
-        cur = q.popleft()
-        if cur == goal:
-            return seen[cur]
-        for d in dirs.ordered():
-            nxt = d.apply(cur)
-            if grid.is_free(nxt) and nxt not in seen:
-                seen[nxt] = seen[cur] + 1
-                q.append(nxt)
-    return None
 
 
 class TestGridBasics:
@@ -132,7 +113,7 @@ class TestDistanceField:
             goal = rng.choice(free)
             field = shortest_dist_field(grid, goal, FOUR_DIRECTIONS)
             for src in free:
-                assert field.get(src) == bfs_ref(grid, src, goal, FOUR_DIRECTIONS)
+                assert field.get(src) == reference_bfs(grid, src, FOUR_DIRECTIONS._steps).get(goal)
 
 
 def path(*cells):
@@ -369,7 +350,7 @@ class TestLowerBound:
             ref = 0
             feasible = True
             for s, g in zip(starts, goals):
-                d = bfs_ref(grid, s, g, FOUR_DIRECTIONS)
+                d = reference_bfs(grid, s, FOUR_DIRECTIONS._steps).get(g)
                 if d is None:
                     feasible = False
                     break
@@ -505,3 +486,28 @@ class TestTimedPath:
             ALL_CONFLICTS,
         )
         assert base.ok == padded.ok
+
+
+def test_public_surface_is_pinned():
+    # Adding or removing an export is a deliberate change to this set.
+    import types
+
+    import gridmapf
+
+    exported = {
+        name for name, value in vars(gridmapf).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == set("""
+        ALL_CONFLICTS AgentTask BudgetExceededError Cell ChannelSpec Clause Conflict
+        ConflictModel ConflictReport ConstructionReport DOWN_RIGHT Direction DirectionSet
+        EmbeddingError FOUR_DIRECTIONS FormulaError GridMap Instance LadderSpec LayoutError
+        MonotoneFormula NestingForest NoSolutionError ReductionMetadata SearchBudget Side
+        Solution SolverStats THREE_DIRECTIONS TimedPath UP_RIGHT VERTEX_EDGE Witness
+        assignment_minimal_lower_bound brute_force_sat check_two_directional compile_formula
+        delta diagonal_key enumerate_individually_optimal evaluate exists_individually_optimal
+        exists_makespan_at_most extract_assignment format_formula is_individually_optimal
+        lower_bound_cost makespan_variant optimal_flowtime parse_formula partition_diagonals
+        realize_solution solve_two_dir two_colored_decide two_colored_variant
+        validate_planar_monotone validate_solution verify_construction
+    """.split())

@@ -359,25 +359,33 @@ def test_reader_and_writer_match_the_reference(case):
 STEPS = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (1, 1), (0, -2)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.sampled_from(STEPS), max_size=6), min_size=1, max_size=3))
-def test_writer_matches_the_reference_on_any_walk(walk_steps):
-    agents, paths = [], []
-    for i, steps in enumerate(walk_steps):
-        walk = [Cell(i, 0)]
-        for dc, dr in steps:
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+def test_writer_matches_the_reference_on_any_walk(width, height, data):
+    # The reference spells each move from the column and row differences of
+    # two cells.  The walks are built from cells and start anywhere near the
+    # grid, off it too.
+    cell = st.builds(Cell, st.integers(-3, width + 2), st.integers(-3, height + 2))
+    paths = []
+    for _ in range(data.draw(st.integers(1, width))):
+        walk = [data.draw(cell)]
+        for dc, dr in data.draw(st.lists(st.sampled_from(STEPS), max_size=6)):
             walk.append(Cell(walk[-1].col + dc, walk[-1].row + dr))
-        agents.append(AgentTask(i, walk[0], Cell(i, 1)))
         paths.append(TimedPath.from_cells(walk))
-    instance = Instance(GridMap(len(agents), 2), tuple(agents), FOUR_DIRECTIONS)
+    agents = tuple(AgentTask(i, Cell(i, 0), Cell(i, 0)) for i in range(len(paths)))
+    instance = Instance(GridMap(width, height), agents, FOUR_DIRECTIONS)
     solution = Solution(tuple(paths))
     expected = outcome(reference_write_solution, instance, solution)
     assert outcome(write_solution, instance, solution) == expected
     # The same walks as framed ids, where a frame of that stride holds them.
-    s = len(agents) + 1
-    if all(0 <= col < s - 1 and row >= -1 for p in paths for col, row in p.cells):
+    s = width + 1
+    if all(0 <= col < width and row >= -1 for p in paths for col, row in p.cells):
         ids = [TimedPath._from_ids([(r + 1) * s + c for c, r in p.cells], s) for p in paths]
         assert outcome(write_solution, instance, Solution(tuple(ids))) == expected
+
+
+# A nested formula, whose layout has ladders of both owners and kinds.
+NESTED = "vars 4\nclause 1 + 1 4\nclause 2 + 1 3\nclause 3 + 1 2\nclause 4 - 1 4\n"
 
 
 class TestMetadataFormat:
@@ -391,6 +399,21 @@ class TestMetadataFormat:
     def test_missing_constants_rejected(self):
         with pytest.raises(FileFormatError):
             read_metadata("variant base\n")
+
+    @pytest.mark.parametrize(
+        "directive, position, word",
+        [("variant", 1, "bogus"), ("ladder", 1, "banana"), ("ladder", 3, "z")],
+    )
+    def test_unknown_word_carries_line(self, directive, position, word):
+        _, meta = compile_formula(parse_formula(NESTED))
+        lines = write_metadata(meta).splitlines()
+        i = next(i for i, line in enumerate(lines) if line.split()[0] == directive)
+        parts = lines[i].split()
+        parts[position] = word
+        lines[i] = " ".join(parts)
+        with pytest.raises(FileFormatError) as e:
+            read_metadata("\n".join(lines))
+        assert e.value.line == i + 1 and repr(word) in str(e.value)
 
     def test_old_text_with_wbound_still_reads(self):
         # Older writers added "const Wbound", a coarse width bound that no

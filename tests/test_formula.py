@@ -90,6 +90,15 @@ class TestParse:
             parse_formula("vars 2\nfrobnicate\n")
         assert e.value.line == 2
 
+    # "²" passes str.isdigit, and int() rejects it.
+    @pytest.mark.parametrize(
+        "text, line", [("vars \u00b2\n", 1), ("vars 2\nclause \u00b2 + 1\n", 2)]
+    )
+    def test_non_ascii_digit_carries_line(self, text, line):
+        with pytest.raises(FormulaError) as e:
+            parse_formula(text)
+        assert e.value.line == line
+
     def test_comments_and_blanks(self):
         f = parse_formula("# header\nvars 2\n\nclause 1 + 1  # trailing\n")
         assert f.num_clauses == 1

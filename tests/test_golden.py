@@ -227,5 +227,13 @@ def test_outputs_byte_identical(n, unsat):
     assert digests(n, unsat) == GOLDEN[(n, unsat)]
 
 
+@pytest.mark.parametrize("n,unsat", sorted(GOLDEN), ids=lambda v: str(v))
+def test_meta_files_read_back(n, unsat):
+    base, meta = compile_formula(parse_formula(family_text(n, unsat)))
+    _, mk_meta = makespan_variant(base, meta)
+    for m in (meta, mk_meta):
+        assert files.read_metadata(files.write_metadata(m)) == m
+
+
 def test_every_case_pinned():
     assert sorted(GOLDEN) == [(4, False), (4, True), (6, False)]

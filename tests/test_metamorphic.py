@@ -23,7 +23,6 @@ from gridmapf.core import (
     GridMap,
     Instance,
     Solution,
-    shortest_dist_field,
     validate_solution,
 )
 from gridmapf.oracle import (
@@ -35,6 +34,7 @@ from gridmapf.oracle import (
     optimal_flowtime,
 )
 from gridmapf.twodir import solve_two_dir
+from kernel_reference import shortest_dist_field
 from test_oracle import small_instances
 from test_validator import shared_cell_case, validation_cases
 

@@ -24,7 +24,6 @@ from gridmapf.core import (
     VERTEX_EDGE,
     is_individually_optimal,
     lower_bound_cost,
-    shortest_dist_field,
     validate_solution,
 )
 from gridmapf.oracle import (
@@ -43,6 +42,7 @@ from gridmapf.oracle import (
     _solution_from_states,
     _successors,
 )
+from kernel_reference import shortest_dist_field
 from rotation_reference import rotating_movers
 
 ALL_MODELS = [ConflictModel(*flags) for flags in itertools.product((False, True), repeat=4)]
@@ -60,8 +60,6 @@ def inst4(tasks, obstacles=(), dirs=FOUR_DIRECTIONS, teams=None):
 
 def all_shortest_paths(grid, start, goal, dirs):
     """Every shortest path of one agent, by depth-first descent."""
-    from gridmapf.core import shortest_dist_field
-
     field = shortest_dist_field(grid, goal, dirs)
     if start not in field:
         return []

@@ -13,16 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmapf.core import DOWN_RIGHT, AgentTask, Cell, GridMap, Instance, Solution
-from gridmapf.twodir import (
+from gridmapf.core import DOWN_RIGHT, AgentTask, Cell, GridMap, Instance, Solution, TimedPath
+from gridmapf.twodir import SolverStats, solve_two_dir
+
+from planner_reference import (
     MonotonePath,
-    SolverStats,
-    plan_monotone_path,
-    solve_two_dir,
+    library_plan,
+    reference_plan,
+    reference_solve,
     weakly_above,
 )
-
-from planner_reference import reference_plan, reference_solve
 
 
 def box_area(start, goal):
@@ -106,7 +106,7 @@ def test_plan_matches_cell_reference(grid, data):
     start, goal = data.draw(cell), data.draw(cell)
     blocked = data.draw(st.sets(cell, max_size=12))
     stats, ref_stats = SolverStats(), SolverStats()
-    got = plan_monotone_path(grid, blocked, start, goal, stats=stats)
+    got = library_plan(grid, blocked, start, goal, stats=stats)
     assert got == reference_plan(grid, blocked, start, goal, stats=ref_stats)
     assert_counts(stats, ref_stats, box_area(start, goal), got is not None)
 
@@ -143,7 +143,7 @@ def test_pinned_plans_match_cell_reference(case, right_first):
     # library's does, and lies weakly below it.
     grid, blocked, start, goal = PINNED_PLANS[case]
     stats, ref_stats = SolverStats(), SolverStats()
-    got = plan_monotone_path(grid, blocked, start, goal, stats=stats)
+    got = library_plan(grid, blocked, start, goal, stats=stats)
     ref = reference_plan(grid, blocked, start, goal, right_first=right_first, stats=ref_stats)
     if right_first:
         assert got == ref
@@ -157,7 +157,7 @@ def test_pinned_plans_match_cell_reference(case, right_first):
         GridMap(grid.width, grid.height, obstacles), (AgentTask(0, start, goal),), DOWN_RIGHT
     )
     assert assert_solver_matches(alone) == (
-        None if got is None else Solution((got.to_timed_path(),))
+        None if got is None else Solution((TimedPath(got.cells),))
     )
 
 

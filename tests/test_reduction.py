@@ -10,7 +10,6 @@ from gridmapf.core import (
     Cell,
     GridMap,
     Instance,
-    shortest_dist_field,
     is_individually_optimal,
 )
 from gridmapf.formula import Side, brute_force_sat, parse_formula
@@ -25,6 +24,7 @@ from gridmapf.reduction import (
     verify_construction,
 )
 
+from kernel_reference import shortest_dist_field
 from test_golden import family_text
 
 

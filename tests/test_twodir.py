@@ -13,6 +13,7 @@ from gridmapf.core import (
     DOWN_RIGHT,
     GridMap,
     Instance,
+    Solution,
     TimedPath,
     VERTEX_EDGE,
     is_individually_optimal,
@@ -24,17 +25,20 @@ from gridmapf.oracle import (
     exists_individually_optimal,
 )
 from gridmapf.twodir import (
-    MonotonePath,
     SolverStats,
     check_two_directional,
     diagonal_key,
     partition_diagonals,
-    plan_monotone_path,
     solve_two_dir,
-    weakly_above,
 )
 
-from planner_reference import reference_plan, reference_solve
+from planner_reference import (
+    MonotonePath,
+    library_plan,
+    reference_plan,
+    reference_solve,
+    weakly_above,
+)
 
 
 def region_above(path):
@@ -47,12 +51,12 @@ def region_above(path):
 
 
 def all_monotone_paths(grid, blocked, start, goal):
-    """Brute-force enumeration of every down/right path, as (moves, cells)."""
+    """Brute-force enumeration of every down/right path, as move strings."""
     results = []
 
-    def rec(cur, cells, moves):
+    def rec(cur, moves):
         if cur == goal:
-            results.append(("".join(moves), tuple(cells)))
+            results.append(moves)
             return
         for letter, nxt in (
             ("R", Cell(cur.col + 1, cur.row)),
@@ -64,10 +68,10 @@ def all_monotone_paths(grid, blocked, start, goal):
                 and grid.is_free(nxt)
                 and nxt not in blocked
             ):
-                rec(nxt, cells + [nxt], moves + [letter])
+                rec(nxt, moves + letter)
 
     if grid.is_free(start) and start not in blocked:
-        rec(start, [start], [])
+        rec(start, "")
     return results
 
 
@@ -135,18 +139,16 @@ class TestCheckAndPartition:
 
 class TestPlanMonotonePath:
     def test_empty_grid_right_first(self):
-        p = plan_monotone_path(GridMap(3, 2), set(), Cell(0, 0), Cell(2, 1))
+        p = library_plan(GridMap(3, 2), set(), Cell(0, 0), Cell(2, 1))
         assert p.move_string == "RRD"
 
     def test_block_forces_early_down(self):
-        p = plan_monotone_path(GridMap(3, 2), {Cell(2, 0)}, Cell(0, 0), Cell(2, 1))
+        p = library_plan(GridMap(3, 2), {Cell(2, 0)}, Cell(0, 0), Cell(2, 1))
         assert p.move_string == "RDR"
 
     def test_both_exits_blocked(self):
-        p = plan_monotone_path(
-            GridMap(2, 2), {Cell(1, 0), Cell(0, 1)}, Cell(0, 0), Cell(1, 1)
-        )
-        assert p is None
+        blocked = {Cell(1, 0), Cell(0, 1)}
+        assert library_plan(GridMap(2, 2), blocked, Cell(0, 0), Cell(1, 1)) is None
 
     def test_lexicographic_minimality_random(self):
         rng = random.Random(13)
@@ -158,28 +160,22 @@ class TestPlanMonotonePath:
             blocked = {
                 Cell(rng.randrange(w), rng.randrange(h)) for _ in range(rng.randrange(4))
             } - {start, goal}
-            got = plan_monotone_path(grid, blocked, start, goal)
+            got = library_plan(grid, blocked, start, goal)
             ref = all_monotone_paths(grid, blocked, start, goal)
-            if not ref:
-                assert got is None
-            else:
-                # lexicographic order with Right before Down
-                best = min(
-                    (move for move, _ in ref),
-                    key=lambda m: [0 if ch == "R" else 1 for ch in m],
-                )
-                assert got is not None and got.move_string == best
+            # lexicographic order with Right before Down; None without a path
+            best = min(ref, key=lambda m: [0 if ch == "R" else 1 for ch in m], default=None)
+            assert (None if got is None else got.move_string) == best
 
     def test_down_preference_flips_tie_break(self):
         # The down-first reference takes the lowest path, the planner the highest.
         args = (GridMap(3, 3), set(), Cell(0, 0), Cell(2, 2))
         assert reference_plan(*args, right_first=False).move_string == "DDRR"
-        assert plan_monotone_path(*args).move_string == "RRDD"
+        assert library_plan(*args).move_string == "RRDD"
 
     def test_visit_budget_within_bounding_box(self):
         stats = SolverStats()
         grid = GridMap(10, 10)
-        plan_monotone_path(grid, set(), Cell(0, 0), Cell(9, 9), stats=stats)
+        library_plan(grid, set(), Cell(0, 0), Cell(9, 9), stats=stats)
         assert stats.visited_cells <= 100
 
 
@@ -206,7 +202,8 @@ class TestPathProperties:
 
     @given(monotone_paths)
     def test_length_is_manhattan(self, p):
-        assert p.length == (p.end.col - p.start.col) + (p.end.row - p.start.row)
+        start, end = p.cells[0], p.cells[-1]
+        assert len(p.cells) - 1 == (end.col - start.col) + (end.row - start.row)
 
     @given(monotone_paths, monotone_paths)
     def test_weakly_above_matches_region_definition(self, q, p):
@@ -214,9 +211,10 @@ class TestPathProperties:
 
     @given(monotone_paths)
     def test_cells_stay_inside_own_bounding_box(self, p):
+        start, end = p.cells[0], p.cells[-1]
         for c in p.cells:
-            assert p.start.col <= c.col <= p.end.col
-            assert p.start.row <= c.row <= p.end.row
+            assert start.col <= c.col <= end.col
+            assert start.row <= c.row <= end.row
 
 
 class TestRegionAbove:
@@ -228,23 +226,12 @@ class TestRegionAbove:
         p = MonotonePath((Cell(0, 0), Cell(0, 1), Cell(1, 1)))
         assert region_above(p) == {Cell(0, 0), Cell(0, 1), Cell(1, 1), Cell(1, 0)}
 
-    def test_size_formula_random(self):
-        rng = random.Random(23)
-        for _ in range(50):
-            cur = Cell(0, 0)
-            cells = [cur]
-            for _ in range(rng.randrange(1, 8)):
-                cur = (
-                    Cell(cur.col + 1, cur.row)
-                    if rng.random() < 0.5
-                    else Cell(cur.col, cur.row + 1)
-                )
-                cells.append(cur)
-            p = MonotonePath(tuple(cells))
-            deepest = {}
-            for c in p.cells:
-                deepest[c.col] = max(deepest.get(c.col, 0), c.row)
-            assert len(region_above(p)) == sum(r + 1 for r in deepest.values())
+    @given(monotone_paths)
+    def test_size_formula_random(self, p):
+        deepest = {}
+        for c in p.cells:
+            deepest[c.col] = max(deepest.get(c.col, 0), c.row)
+        assert len(region_above(p)) == sum(r + 1 for r in deepest.values())
 
 
 class TestWeaklyAbove:
@@ -376,17 +363,11 @@ class TestSolveTwoDir:
                 )
                 p = reference_plan(grid, set(), s, g, right_first=rng.random() < 0.5)
                 paths.append(p)
-            if paths[0].end == paths[1].end:
+            ends = [(p.cells[0], p.cells[-1]) for p in paths]
+            if ends[0][1] == ends[1][1]:
                 continue
-            inst = Instance(
-                grid,
-                (
-                    AgentTask(0, paths[0].start, paths[0].end),
-                    AgentTask(1, paths[1].start, paths[1].end),
-                ),
-                DOWN_RIGHT,
-            )
-            sol = type(inst).__mro__  # noqa: F841 - keep linters quiet
+            agents = tuple(AgentTask(i, s, g) for i, (s, g) in enumerate(ends))
+            inst = Instance(grid, agents, DOWN_RIGHT)
             report = validate_solution(
                 inst,
                 SolutionFromPaths(paths),
@@ -472,6 +453,4 @@ class TestSolveTwoDir:
 
 
 def SolutionFromPaths(paths):
-    from gridmapf.core import Solution
-
     return Solution(tuple(TimedPath(p.cells) for p in paths))
