@@ -247,6 +247,11 @@ def write_metadata(meta: ReductionMetadata) -> str:
     return "\n".join(lines) + "\n" + format_formula(meta.formula)
 
 
+# The words of each directive's line, itself included, as in "channel <var>
+# <col> <top> <bottom>"; formula lines are checked by ``parse_formula``.
+_META_WORDS = {"variant": 2, "const": 3, "opening": 4, "channel": 5, "ladder": 7}
+
+
 def read_metadata(text: str) -> ReductionMetadata:
     variant = None
     consts: dict[str, Optional[int]] = {}
@@ -259,6 +264,9 @@ def read_metadata(text: str) -> ReductionMetadata:
         if not line:
             continue
         parts = line.split()
+        words = _META_WORDS.get(parts[0], len(parts))
+        if len(parts) != words:
+            raise FileFormatError(f"{parts[0]} line has {len(parts)} words, not {words}", lineno)
         try:
             if parts[0] == "variant":
                 if parts[1] not in ("base", "makespan"):
@@ -287,7 +295,7 @@ def read_metadata(text: str) -> ReductionMetadata:
                 formula_lines.append(line)
             else:
                 raise FileFormatError(f"unknown directive {parts[0]!r}", lineno)
-        except (IndexError, ValueError) as e:
+        except ValueError as e:
             if isinstance(e, FileFormatError):
                 raise
             raise FileFormatError(f"malformed line: {line!r}", lineno) from None

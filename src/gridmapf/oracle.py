@@ -38,7 +38,8 @@ class NoSolutionError(RuntimeError):
 @dataclass(frozen=True)
 class SearchBudget:
     """Resource limits for one oracle query: ``max_states`` caps the states
-    expanded, and the states the flowtime A* holds in its table."""
+    expanded, and the states a search holds in its table (the deadline
+    search's and the flowtime A*'s)."""
 
     max_states: int = 5_000_000
     max_seconds: Optional[float] = None
@@ -215,6 +216,21 @@ def _joint_moves(
 _Key = tuple[tuple[int, ...], int, int]
 
 
+class _Run:
+    """The one successor of a forced key, ``first``, and the keys after it,
+    ``rest``: each the one successor of the key before, up to the key where
+    the run ends.  Iterated, a run is ``first`` alone, the key's successors."""
+
+    __slots__ = ("first", "rest")
+
+    def __init__(self, first: _Key, rest: Iterator[_Key]) -> None:
+        self.first = first
+        self.rest = rest
+
+    def __iter__(self) -> Iterator[_Key]:
+        return iter((self.first,))
+
+
 def _dfs(
     start: _Key,
     expand: Callable[[_Key], Optional[Iterable[_Key]]],
@@ -224,6 +240,12 @@ def _dfs(
     """Depth-first search over the keys reached from ``start``, each expanded
     once.  ``expand`` gives a key's successors, or None for a goal; the
     witness walks the positions of the keys from ``start`` to the first goal.
+
+    A ``_Run`` is taken key by key as if each were popped and expanded in
+    turn, one expansion and one generated key apiece, up to the first key
+    reached before; the key where it ends goes on the stack and is expanded
+    there.  The order, the table and the counts are those of the plain loop.
+    Every key the table holds counts against ``max_states``.
     """
     parent: dict[_Key, Optional[_Key]] = {start: None}
     stack = [start]
@@ -237,10 +259,25 @@ def _dfs(
                 states.append(key[0])
             states.reverse()
             return Witness(True, _solution_from_states(stride, states))
+        if type(successors) is _Run:
+            run, successors = successors, ()
+            nxt = run.first
+            # pulling the key after nxt paces the clock as generating nxt would
+            for after in clock.paced(run.rest):
+                clock.generated += 1
+                if nxt in parent:
+                    break
+                parent[nxt] = key
+                clock.hold(len(parent))
+                clock.tick()
+                key, nxt = nxt, after
+            else:
+                successors = (nxt,)
         for nxt in clock.paced(successors):
             clock.generated += 1
             if nxt not in parent:
                 parent[nxt] = key
+                clock.hold(len(parent))
                 stack.append(nxt)
     return Witness(False, None)
 
@@ -258,6 +295,11 @@ def _successors(
     waits an agent that stays is parked: it stays there for good.  With
     each agent's own distance as its deadline this is strict descent, in
     which nobody stays, and t follows from the positions.
+
+    A key is forced when every active agent has one cell and may not stay.
+    If then no two agents share a cell after the move and no mover enters a
+    cell taken before it, the move has no conflict of any kind, and the
+    successors are a ``_Run``; every other move goes through ``_joint_moves``.
     """
     cur, t, parked = key
     waits = comp.instance.directions.waits_allowed
@@ -267,6 +309,7 @@ def _successors(
     active: list[int] = []
     choices: list[list[int]] = []
     stayers: list[int] = []
+    forced = True
     for i, here in enumerate(cur):
         left = deadlines[i] - t - 1
         if left < 0 or parked >> i & 1:
@@ -277,14 +320,67 @@ def _successors(
         if dist[here] <= left and (waits or here == goals[i]):
             opts.insert(0, here)
             stayers.append(i)
-        if not opts:
-            return ()
+            forced = False
+        elif len(opts) != 1:
+            if not opts:
+                return ()
+            forced = False
         active.append(i)
         choices.append(opts)
     if not active:
         return ()
+    if forced:
+        entered = {c for (c,) in choices}
+        if len(entered) == len(active) and entered.isdisjoint(cur):
+            nxt = list(cur)
+            for i, (c,) in zip(active, choices):
+                nxt[i] = c
+            first = (tuple(nxt), t + 1, parked)
+            return _Run(first, _forced_keys(comp, first, deadlines, active))
     moves = _joint_moves(cur, active, choices, static_cells, model)
     return _keys(moves, cur, t, parked, () if waits else stayers)
+
+
+def _forced_keys(
+    comp: _Compiled, first: _Key, deadlines: Sequence[int], movers: Sequence[int]
+) -> Iterator[_Key]:
+    """The keys after ``first``, which ``movers`` entered from a forced key,
+    for as long as the key before each is forced and its one move passes the
+    test of ``_successors``: no mover enters a cell taken at t, and no two
+    agents share a cell after the move.  A mover whose deadline has come
+    rests on its goal; the run ends once every mover rests."""
+    pos, t, parked = first
+    waits = comp.instance.directions.waits_allowed
+    dist, goals, steps = comp.dist, comp.goals, comp.steps
+    taken = set(pos)
+    n = len(pos)
+    while True:
+        nxt = list(pos)
+        moving = False
+        for i in movers:
+            left = deadlines[i] - t - 1
+            if left < 0:
+                continue
+            here = pos[i]
+            field = dist[i]
+            if field[here] <= left and (waits or here == goals[i]):
+                return
+            step = -1
+            for off in steps:
+                if 0 <= field[c := here + off] <= left:
+                    if step >= 0:
+                        return
+                    step = c
+            if step < 0 or step in taken:
+                return
+            nxt[i] = step
+            moving = True
+        taken = set(nxt)
+        if not moving or len(taken) < n:
+            return
+        t += 1
+        pos = tuple(nxt)
+        yield pos, t, parked
 
 
 def _keys(

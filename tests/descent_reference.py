@@ -8,7 +8,9 @@ depth-limited makespan search keyed on (positions, t, parked mask) with
 its own candidate rule.  These are those searches, and the enumeration
 on the strict-descent moves, on the full fields and neighbour tables of
 ``compiled_reference.ReferenceCompiled``.  Each takes the budget clock
-it ticks, so a test can read how many states it expanded.
+it ticks, so a test can read how many states it expanded.  The two
+decision searches hold their tables to the budget as the library's does:
+the clock raises once a table holds more than ``max_states`` keys.
 """
 
 from compiled_reference import ReferenceCompiled
@@ -42,6 +44,7 @@ def reference_individually_optimal(instance, model, clock):
         for nxt in clock.paced(comp.descent_moves(cur, model)):
             if nxt not in parent:
                 parent[nxt] = cur
+                clock.hold(len(parent))
                 stack.append(nxt)
     return Witness(False, None)
 
@@ -123,5 +126,6 @@ def reference_makespan_at_most(instance, bound, model, clock):
                 nxt_key = (nxt, t + 1, next_parked)
                 if nxt_key not in parent:
                     parent[nxt_key] = key
+                    clock.hold(len(parent))
                     stack.append(nxt_key)
     return Witness(False, None)

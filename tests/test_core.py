@@ -29,8 +29,9 @@ from gridmapf.core import (
 from kernel_reference import reference_bfs, shortest_dist_field
 
 
-def neighbors(grid, cell, dirs):
-    """Free cells reachable from ``cell`` in one motion step (waits excluded)."""
+def reference_neighbors(grid, cell, dirs):
+    """Free cells reachable from ``cell`` in one motion step (waits excluded),
+    one direction at a time on ``Cell``s."""
     if not grid.is_free(cell):
         raise ValueError(f"{cell} is not a free cell of the grid")
     result = []
@@ -39,6 +40,17 @@ def neighbors(grid, cell, dirs):
         if grid.is_free(nxt):
             result.append(nxt)
     return result
+
+
+def neighbors(grid, cell, dirs):
+    """The library's neighbours of ``cell``: ``_GridKernel.steps`` offsets
+    from its framed id, kept where ``GridMap._framed`` is free.  A cell that
+    mask marks blocked is a ``ValueError``, as in the reference."""
+    kernel = core._GridKernel(grid)
+    here = kernel.cid(cell)
+    if not grid._framed[here]:
+        raise ValueError(f"{cell} is not a free cell of the grid")
+    return list(kernel.cells(c for off in kernel.steps(dirs) if grid._framed[c := here + off]))
 
 
 class TestGridBasics:
@@ -73,6 +85,20 @@ class TestNeighbors:
         grid = GridMap(3, 3, frozenset({Cell(1, 1)}))
         with pytest.raises(ValueError):
             neighbors(grid, Cell(1, 1), DOWN_RIGHT)
+
+    @given(
+        size=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        blocked=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4))),
+        letters=st.sets(st.sampled_from("UDLR"), min_size=1),
+    )
+    def test_library_neighbours_match_the_reference(self, size, blocked, letters):
+        width, height = size
+        grid = GridMap(
+            width, height, frozenset(Cell(c, r) for c, r in blocked if c < width and r < height)
+        )
+        dirs = DirectionSet.from_letters("".join(sorted(letters)))
+        for cell in grid.free_cells():
+            assert neighbors(grid, cell, dirs) == reference_neighbors(grid, cell, dirs)
 
 
 class TestDistanceField:

@@ -415,6 +415,18 @@ class TestMetadataFormat:
             read_metadata("\n".join(lines))
         assert e.value.line == i + 1 and repr(word) in str(e.value)
 
+    @pytest.mark.parametrize("directive", ["variant", "const", "opening", "channel", "ladder"])
+    @pytest.mark.parametrize("change", ["extra", "short"])
+    def test_wrong_field_count_carries_line(self, directive, change):
+        # a trailing word was once read past: "variant base extra" passed
+        _, meta = compile_formula(parse_formula(NESTED))
+        lines = write_metadata(meta).splitlines()
+        i = next(i for i, line in enumerate(lines) if line.split()[0] == directive)
+        lines[i] = lines[i] + " 7" if change == "extra" else lines[i].rsplit(" ", 1)[0]
+        with pytest.raises(FileFormatError, match=f"^line {i + 1}: {directive} line has") as e:
+            read_metadata("\n".join(lines))
+        assert e.value.line == i + 1
+
     def test_old_text_with_wbound_still_reads(self):
         # Older writers added "const Wbound", a coarse width bound that no
         # check used; it is no longer written, and read past when present.

@@ -23,6 +23,7 @@ from gridmapf.oracle import (
     SearchBudget,
     delta,
     exists_individually_optimal,
+    exists_makespan_at_most,
     optimal_flowtime,
 )
 from gridmapf.reduction import compile_formula
@@ -93,4 +94,15 @@ def test_state_budget_bounds_the_astar_table():
     began = time.perf_counter()
     with pytest.raises(BudgetExceededError, match="state budget of 40"):
         delta(inst, budget=SearchBudget(max_states=40))
+    assert time.perf_counter() - began < 0.5
+
+
+def test_state_budget_bounds_the_dfs_table():
+    # Counting expansions alone, 40 states took 0.7 s and about 100 MB here,
+    # and the search said YES: its first expansions put thousands of joint
+    # moves in the deadline search's table.
+    inst = wide_expansion_instance()
+    began = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="state budget of 40"):
+        exists_makespan_at_most(inst, 12, budget=SearchBudget(max_states=40, max_seconds=3))
     assert time.perf_counter() - began < 0.5
