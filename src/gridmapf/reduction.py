@@ -63,14 +63,24 @@ from .formula import (
 
 
 class LayoutError(ValueError):
-    """The formula cannot be laid out under the straight-leg discipline."""
+    """The formula cannot be laid out: the layout needs more cells than the
+    cap, or in the built layout some agent can enter the channel of a
+    variable outside its clause (``agent <id> can enter foreign channel
+    <v>``).  Any other message names a fault of the compiler itself."""
 
 
-#: Pinned factor for the construction size check: grid cells never exceed
-#: this multiple of m^3 + n*m^2 on any accepted formula.  The ratio peaks
-#: on single-clause layouts (observed maximum 70); larger formulas sit far
-#: below it because the asymptotic terms dominate.
-CELL_BUDGET_FACTOR = 128
+def _cell_budget(num_clauses: int) -> int:
+    """Cells a base layout of m = ``num_clauses`` clauses may take, by its
+    own accounting.  Width ``W = 1 + 2 * (leg slots + ladders + connectors)``:
+    a variable's slots and connector take at most two columns per
+    occurrence (6m in all) and each non-root clause one ladder, so
+    ``W <= 14m + 1``.  Height ``H = 2m + 4 + H+ + H- + L`` (target stacks
+    and openings, the two sides' territories, the channel): with
+    ``U = W + 2`` a territory is ``(depth + 1) * U`` rows, so
+    ``H+ + H- <= (m + 1) * U``, and the channel ``L <= W + m * U``.  The
+    spare U covers m = 0, where ``H = 4 + 2U``."""
+    width = 14 * num_clauses + 1
+    return width * (2 * num_clauses + 4 + width + (2 * num_clauses + 2) * (width + 2))
 
 
 @dataclass(frozen=True)
@@ -165,31 +175,6 @@ class ConstructionReport:
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.ok)
-
-
-def _routability_precheck(formula: MonotoneFormula, forest: NestingForest) -> None:
-    """Reject formulas whose legs cannot be drawn as straight columns.
-
-    A clause's leg to variable v descends past the corridors of every
-    deeper clause on its side; a deeper clause whose interval reaches v
-    from the left would be crossed.  Sharing v is fine exactly when v is
-    the deeper clause's leftmost variable (its corridor then starts at
-    its own leg and the shallower legs fit to the left of it).
-    """
-    for side in (Side.POSITIVE, Side.NEGATIVE):
-        group = formula.side_clauses(side)
-        for z in group:
-            for v in z.vars:
-                for e in group:
-                    if e.id == z.id or forest.levels[e.id] >= forest.levels[z.id]:
-                        continue
-                    lo, hi = e.interval
-                    if lo < v <= hi:
-                        raise LayoutError(
-                            f"clause {z.id}: leg to variable {v} would cross clause "
-                            f"{e.id} spanning {e.interval}; a nested clause may share "
-                            f"a variable only as its leftmost one"
-                        )
 
 
 @dataclass
@@ -314,7 +299,6 @@ def compile_formula(
     solution exactly when the formula is satisfiable.
     """
     forest = forest or validate_planar_monotone(formula)
-    _routability_precheck(formula, forest)
     plan = _plan_columns(formula, forest)
 
     unit = plan.width + 2
@@ -534,7 +518,10 @@ def _entry_distances(
 
 
 def _compile_sanity(instance: Instance, meta: ReductionMetadata) -> None:
-    """Cheap invariants that catch layout bugs at compile time."""
+    """Checks on the built layout, from each agent's field under its sign's
+    two moves: it reaches its target, no channel of a variable outside its
+    clause (a leg crossing a deeper corridor can allow that, so a formula
+    can fail here) and each of its own channels within the channel length."""
     kernel = _GridKernel(instance.grid)
     agents = {a.id: a for a in instance.agents}
     for c in meta.formula.clauses:
@@ -542,6 +529,9 @@ def _compile_sanity(instance: Instance, meta: ReductionMetadata) -> None:
         field = kernel.dist_from(kernel.cid(agent.start), meta.sign_directions(c.side))
         if kernel.at(field, agent.goal) is None:
             raise LayoutError(f"agent {c.id} cannot reach its target monotonically")
+        for ch in meta.channels:
+            if ch.var not in c.vars and kernel.at(field, meta.entry_cell(c.side, ch)) is not None:
+                raise LayoutError(f"agent {c.id} can enter foreign channel {ch.var}")
     for (cid, v), d in _entry_distances(kernel, instance, meta).items():
         if d is None or d > meta.channel_length:
             raise LayoutError(
@@ -855,12 +845,11 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
                 problems.append(f"agent {c.id} can enter foreign channel {ch.var}")
     checks.append(CheckResult("no-channel-bypass", not problems, "; ".join(problems)))
 
-    # 7. construction size within the pinned budget; the makespan variant
-    # may additionally widen the grid by up to its common distance for the
-    # private target extensions
-    m, n = meta.formula.num_clauses, meta.formula.num_vars
+    # 7. construction size within the layout's own bound; the makespan
+    # variant may additionally widen the grid by up to its common distance
+    # for the private target extensions
     cells = grid.width * grid.height
-    budget = CELL_BUDGET_FACTOR * max(1, m**3 + n * m**2)
+    budget = _cell_budget(meta.formula.num_clauses)
     if meta.variant == "makespan" and meta.common_distance is not None:
         budget += grid.height * meta.common_distance
     ok = cells <= budget

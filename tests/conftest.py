@@ -7,7 +7,8 @@ from gridmapf.reduction import compile_formula
 
 # Twelve formulas covering satisfiable and unsatisfiable cases, nesting
 # levels up to 2 on either side, clause sizes 1-3, one-sided variables,
-# and the empty formula.  All fit the straight-leg layout discipline.
+# and the empty formula.  Each compiles: in none does a leg crossing let an
+# agent enter a channel outside its clause.
 FORMULA_CORPUS = {
     "unit-pos": "vars 1\nclause 1 + 1\n",
     "unit-neg": "vars 1\nclause 1 - 1\n",

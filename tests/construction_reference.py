@@ -13,7 +13,7 @@ come from the neighbour tables of ``kernel_reference.TableKernel``.
 
 from gridmapf.core import FOUR_DIRECTIONS
 from gridmapf.formula import Side
-from gridmapf.reduction import CELL_BUDGET_FACTOR, CheckResult, ConstructionReport
+from gridmapf.reduction import CheckResult, ConstructionReport, _cell_budget
 from kernel_reference import TableKernel
 
 
@@ -168,10 +168,9 @@ def reference_verify_construction(instance, meta):
                 problems.append(f"agent {c.id} can enter foreign channel {ch.var}")
     checks.append(CheckResult("no-channel-bypass", not problems, "; ".join(problems)))
 
-    # 7. construction size within the pinned budget
-    m, n = meta.formula.num_clauses, meta.formula.num_vars
+    # 7. construction size within the layout's own bound
     cells = grid.width * grid.height
-    budget = CELL_BUDGET_FACTOR * max(1, m**3 + n * m**2)
+    budget = _cell_budget(meta.formula.num_clauses)
     if meta.variant == "makespan" and meta.common_distance is not None:
         budget += grid.height * meta.common_distance
     ok = cells <= budget

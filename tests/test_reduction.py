@@ -13,7 +13,7 @@ from gridmapf.core import (
     is_individually_optimal,
 )
 from gridmapf.formula import Side, brute_force_sat, parse_formula
-from gridmapf.oracle import exists_individually_optimal
+from gridmapf.oracle import exists_individually_optimal, exists_makespan_at_most
 from gridmapf.reduction import (
     LayoutError,
     compile_formula,
@@ -88,11 +88,30 @@ class TestCompileBasics:
         _, meta = compile_formula(f)
         assert [ch.var for ch in meta.channels] == [1]
 
-    def test_unroutable_shared_inner_variable_rejected(self):
-        # the outer clause's leg to 2 would cross the inner clause [1,2]
+    def test_leg_crossing_a_nested_clause_compiles_and_decides(self):
+        # the outer clause's leg to 2 crosses the inner clause's corridor
+        # [1,2], but the inner agent reaches no channel outside its clause
         f = parse_formula("vars 3\nclause 1 + 1 2 3\nclause 2 + 1 2\n")
-        with pytest.raises(LayoutError):
+        inst, meta = compile_formula(f)
+        mk, mkmeta = makespan_variant(inst, meta)
+        assert failures(verify_construction(inst, meta)) == {}
+        assert failures(verify_construction(mk, mkmeta)) == {}
+        assert exists_individually_optimal(inst).decision
+        assert exists_makespan_at_most(mk, mkmeta.common_distance).decision
+
+    def test_crossing_that_opens_a_foreign_channel_rejected(self):
+        # the outer clause's leg to 2 crosses the inner clause [1,3], whose
+        # agent could then take channel 2, which is not in its clause
+        f = parse_formula("vars 3\nclause 1 + 1 2 3\nclause 2 + 1 3\n")
+        with pytest.raises(LayoutError) as e:
             compile_formula(f)
+        assert str(e.value) == "agent 2 can enter foreign channel 2"
+
+    def test_equal_intervals_in_the_other_order_compile(self):
+        # equal intervals nest in input order: now [1,3] is the outer clause
+        inst, meta = compile_formula(parse_formula("vars 3\nclause 1 + 1 3\nclause 2 + 1 2 3\n"))
+        assert failures(verify_construction(inst, meta)) == {}
+        assert failures(verify_construction(*makespan_variant(inst, meta))) == {}
 
     def test_cell_cap_is_checked_before_any_mask(self, monkeypatch):
         formula = parse_formula(family_text(8, False))
@@ -157,6 +176,16 @@ class TestVerifyConstruction:
             report = verify_construction(inst, meta)
             assert report.ok, (name, report.failures())
             assert len(report.checks) == 8
+
+    def test_cell_budget_is_the_layout_bound(self):
+        # one clause: W <= 15 and H <= 2 + 4 + 15 + 4 * 17 = 89, so 1,335 cells
+        inst, meta = compile_formula(parse_formula("vars 2\nclause 1 + 1 2\n"))
+        assert inst.grid.width * inst.grid.height == 396
+        assert failures(verify_construction(inst, meta)) == {}
+        w, h = inst.grid.width, 1335 // inst.grid.width + 1
+        padded = GridMap.from_mask(w, h, inst.grid.free + bytes(w * (h - inst.grid.height)))
+        report = verify_construction(Instance(padded, inst.agents, inst.directions), meta)
+        assert failures(report) == {"cell-budget": f"{w * h} cells vs budget 1335"}
 
     def test_agents_not_matching_the_clauses_raise(self, corpus_compiled):
         inst, meta = corpus_compiled["two-clause-sat"]
