@@ -452,12 +452,13 @@ class _GridKernel:
     a fixed id offset (``steps``) that needs no bounds check and never
     wraps into the next row.  Ids grow with (row, col).  Holds the free
     mask over the framed ids (``GridMap._framed``, kept with the grid)
-    and BFS fields over them, negative where unreached.  Fields are
-    memoized, shared with callers, who must not mutate them, and dropped
-    with the kernel, which lives for one public call only, so no field
-    stays resident between calls.  The memoized
-    fields are lists, read many times per cell; the bounded fields of
-    ``dist_to_near`` are ``array('i')``.
+    and goal fields over them, move counts of a reverse BFS, negative
+    where unreached.  Fields are memoized, shared with callers, who must
+    not mutate them, and dropped with the kernel, which lives for one
+    public call only, so no field stays resident between calls.  The
+    memoized fields are lists, read many times per cell; the bounded
+    fields of ``dist_to_near`` are ``array('i')``.  Fields under two
+    orthogonal moves need no BFS: see ``_monotone_reach``.
     """
 
     def __init__(self, grid: GridMap) -> None:
@@ -465,7 +466,7 @@ class _GridKernel:
         self.width, self.height, self.stride = w, h, w + 1
         self.free = grid._framed
         self._steps: dict[tuple[frozenset[Direction], bool], tuple[int, ...]] = {}
-        self._fields: dict[tuple[frozenset[Direction], int, bool], tuple[list[int], list[int]]] = {}
+        self._fields: dict[tuple[frozenset[Direction], int], list[int]] = {}
 
     def cid(self, cell: Cell) -> int:
         return (cell.row + 1) * self.stride + cell.col
@@ -491,33 +492,13 @@ class _GridKernel:
             got = self._steps[key] = tuple([sign * (dr * s + dc) for dc, dr in dirs._steps])
         return got
 
-    def _field(self, source: int, dirs: DirectionSet, reverse: bool) -> tuple[list[int], list[int]]:
-        key = (dirs.moves, source, reverse)
-        got = self._fields.get(key)
-        if got is None:
-            dist = [-1] * len(self.free)
-            got = self._fields[key] = (dist, _bfs(self.free, self.steps(dirs, reverse), source, dist))
-        return got
-
     def dist_to(self, goal: int, dirs: DirectionSet) -> list[int]:
         """Move count from every cell to ``goal`` under ``dirs``."""
-        return self._field(goal, dirs, True)[0]
-
-    def dist_from(self, start: int, dirs: DirectionSet) -> list[int]:
-        """Move count from ``start`` to every cell under ``dirs``."""
-        return self._field(start, dirs, False)[0]
-
-    def reached_from(self, start: int, dirs: DirectionSet) -> list[int]:
-        """The ids reachable from ``start`` under ``dirs``, in BFS order."""
-        return self._field(start, dirs, False)[1]
-
-    def dist_from_avoiding(self, start: int, dirs: DirectionSet, blocked: Iterable[int]) -> list[int]:
-        """``dist_from`` with the ``blocked`` ids treated as obstacles (not memoized)."""
-        dist = [-1] * len(self.free)
-        for cid in blocked:
-            dist[cid] = -2
-        if dist[start] == -1:
-            _bfs(self.free, self.steps(dirs), start, dist)
+        key = (dirs.moves, goal)
+        dist = self._fields.get(key)
+        if dist is None:
+            dist = self._fields[key] = [-1] * len(self.free)
+            _bfs(self.free, self.steps(dirs, True), goal, dist)
         return dist
 
     def dist_to_near(
@@ -587,6 +568,48 @@ def _bfs(free: bytes, steps: tuple[int, ...], source: int, dist: MutableSequence
                 dist[nxt] = d
                 order.append(nxt)
     return order
+
+
+# Translates a 0/1 free mask into binary digits.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _free_rows(grid: GridMap) -> list[int]:
+    """Each grid row as an int whose bit ``c`` is set where column ``c`` is free."""
+    w, free = grid.width, grid.free
+    return [int(free[r * w : (r + 1) * w][::-1].translate(_DIGITS), 2) for r in range(grid.height)]
+
+
+def _monotone_reach(rows: Sequence[int], source: Cell, down: bool) -> list[int]:
+    """The cells that ``source`` reaches by down and right moves (``down``)
+    or by up and right moves over the cells that ``rows`` marks (bit ``c``
+    of ``rows[r]`` for the cell (c, r)), as rows of the same form; a
+    blocked or off-grid source reaches nothing.  A route of two orthogonal
+    moves is as long as the Manhattan distance between its ends, so
+    ``_reach_dist`` reads distances off the set.  One step per row, from
+    the source's row on: ``seeds`` are the row's cells entered from the row
+    before, and ``m + seeds`` carries each through its run of free cells
+    toward higher columns (Myers, J. ACM 46(3), 1999)."""
+    reach = [0] * len(rows)
+    col, row = source
+    if col < 0 or not 0 <= row < len(rows):
+        return reach
+    seeds = 1 << col
+    for r in range(row, len(rows)) if down else range(row, -1, -1):
+        m = rows[r]
+        seeds &= m
+        if not seeds:
+            break
+        reach[r] = seeds = m & ~(m + seeds) | seeds
+    return reach
+
+
+def _reach_dist(reach: Sequence[int], source: Cell, cell: Cell) -> Optional[int]:
+    """Moves from ``source`` to ``cell``, off the reach from ``source``: None where unreached."""
+    col, row = cell
+    if col >= 0 and 0 <= row < len(reach) and reach[row] >> col & 1:
+        return abs(row - source.row) + col - source.col
+    return None
 
 
 def _team_assignment_ok(instance: Instance, solution: Solution) -> Optional[str]:

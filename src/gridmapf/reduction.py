@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import and_
+from typing import Mapping, Optional, Sequence
 
 from .core import (
     AgentTask,
@@ -50,6 +51,9 @@ from .core import (
     TimedPath,
     UP_RIGHT,
     _GridKernel,
+    _free_rows,
+    _monotone_reach,
+    _reach_dist,
     is_individually_optimal,
 )
 from .formula import (
@@ -496,43 +500,49 @@ def compile_formula(
     return instance, meta
 
 
+def _start_reaches(
+    rows: list[int], agents: Mapping[int, AgentTask], meta: ReductionMetadata
+) -> dict[int, list[int]]:
+    """Each agent's ``_monotone_reach`` from its start under its sign's two moves, by clause id."""
+    clauses = meta.formula.clauses
+    return {c.id: _monotone_reach(rows, agents[c.id].start, c.side is Side.POSITIVE) for c in clauses}
+
+
 def _entry_distances(
-    kernel: _GridKernel, instance: Instance, meta: ReductionMetadata
+    reach: dict[int, list[int]], agents: Mapping[int, AgentTask], meta: ReductionMetadata
 ) -> dict[tuple[int, int], Optional[int]]:
     """Moves from each agent's start to the entry cell of each of its clause's
-    channels under the sign's two directions, keyed by (clause id, variable).
-
-    One forward BFS per agent.  None where the variable has no channel or
+    channels under the sign's two directions, keyed by (clause id, variable),
+    read off the start reaches.  None where the variable has no channel or
     its entry cell is out of reach.
     """
-    starts = {a.id: kernel.cid(a.start) for a in instance.agents}
     out: dict[tuple[int, int], Optional[int]] = {}
     for c in meta.formula.clauses:
-        field = kernel.dist_from(starts[c.id], meta.sign_directions(c.side))
+        start = agents[c.id].start
         for v in c.vars:
             channel = meta.channel_by_var(v)
-            out[(c.id, v)] = None if channel is None else kernel.at(
-                field, meta.entry_cell(c.side, channel)
+            out[(c.id, v)] = None if channel is None else _reach_dist(
+                reach[c.id], start, meta.entry_cell(c.side, channel)
             )
     return out
 
 
 def _compile_sanity(instance: Instance, meta: ReductionMetadata) -> None:
-    """Checks on the built layout, from each agent's field under its sign's
+    """Checks on the built layout, from each agent's reach under its sign's
     two moves: it reaches its target, no channel of a variable outside its
     clause (a leg crossing a deeper corridor can allow that, so a formula
     can fail here) and each of its own channels within the channel length."""
-    kernel = _GridKernel(instance.grid)
     agents = {a.id: a for a in instance.agents}
+    reach = _start_reaches(_free_rows(instance.grid), agents, meta)
     for c in meta.formula.clauses:
-        agent = agents[c.id]
-        field = kernel.dist_from(kernel.cid(agent.start), meta.sign_directions(c.side))
-        if kernel.at(field, agent.goal) is None:
+        start = agents[c.id].start
+        if _reach_dist(reach[c.id], start, agents[c.id].goal) is None:
             raise LayoutError(f"agent {c.id} cannot reach its target monotonically")
         for ch in meta.channels:
-            if ch.var not in c.vars and kernel.at(field, meta.entry_cell(c.side, ch)) is not None:
+            entry = meta.entry_cell(c.side, ch)
+            if ch.var not in c.vars and _reach_dist(reach[c.id], start, entry) is not None:
                 raise LayoutError(f"agent {c.id} can enter foreign channel {ch.var}")
-    for (cid, v), d in _entry_distances(kernel, instance, meta).items():
+    for (cid, v), d in _entry_distances(reach, agents, meta).items():
         if d is None or d > meta.channel_length:
             raise LayoutError(
                 f"agent {cid}: channel {v} entry distance {d} exceeds "
@@ -552,16 +562,18 @@ def makespan_variant(
     """
     if meta.variant != "base":
         raise ValueError("makespan_variant starts from the base instance")
-    kernel = _GridKernel(instance.grid)
+    rows = _free_rows(instance.grid)
     side_of = {c.id: c.side for c in meta.formula.clauses}
     dists: dict[int, int] = {}
     for agent in instance.agents:
         # Exact where reached, by the Manhattan argument of check 8 below.
-        sign = meta.sign_directions(side_of[agent.id])
+        side = side_of[agent.id]
         d = None
-        if sign.moves <= instance.directions.moves:
-            d = kernel.at(kernel.dist_from_avoiding(kernel.cid(agent.start), sign, ()), agent.goal)
+        if meta.sign_directions(side).moves <= instance.directions.moves:
+            reach = _monotone_reach(rows, agent.start, side is Side.POSITIVE)
+            d = _reach_dist(reach, agent.start, agent.goal)
         if d is None:
+            kernel = _GridKernel(instance.grid)
             d = kernel.dist_to(kernel.cid(agent.goal), instance.directions)[kernel.cid(agent.start)]
         assert d >= 0
         dists[agent.id] = d
@@ -713,19 +725,19 @@ def agents_by_clause(instance: Instance, meta: ReductionMetadata) -> dict[int, A
 def verify_construction(instance: Instance, meta: ReductionMetadata) -> ConstructionReport:
     """Independent structural checks of a compiled instance.
 
-    Every check recomputes what it needs with plain BFS and counting; none
-    of them trusts the compiler's arithmetic.  Raises ``ValueError`` when
+    Every check recomputes what it needs with reach sweeps and counting;
+    none of them trusts the compiler's arithmetic.  Raises ``ValueError`` when
     the instance's agent ids are not the metadata's clause ids.
     """
     checks: list[CheckResult] = []
     agents = agents_by_clause(instance, meta)
     clauses = meta.formula.clauses
     grid = instance.grid
-    kernel = _GridKernel(grid)
-    at, s = kernel.at, kernel.stride
+    rows = _free_rows(grid)
+    reach = _start_reaches(rows, agents, meta)
 
-    def start_field(c: Clause) -> list[int]:
-        return kernel.dist_from(kernel.cid(agents[c.id].start), meta.sign_directions(c.side))
+    def start_dist(c: Clause, cell: Cell) -> Optional[int]:
+        return _reach_dist(reach[c.id], agents[c.id].start, cell)
 
     # 1. unique start-to-opening distances per sign
     problems = []
@@ -735,7 +747,7 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
         for c in clauses:
             if c.side is not side:
                 continue
-            d = at(start_field(c), opening)
+            d = start_dist(c, opening)
             if d is None:
                 problems.append(f"agent {c.id} cannot reach the opening")
             elif d in seen:
@@ -763,7 +775,7 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
 
     # 3. every channel-entry distance is at most L
     problems = []
-    entry = _entry_distances(kernel, instance, meta)
+    entry = _entry_distances(reach, agents, meta)
     for c in clauses:
         for v in c.vars:
             d = entry[(c.id, v)]
@@ -777,29 +789,34 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
                 )
     checks.append(CheckResult("entry-distances", not problems, "; ".join(problems)))
 
-    # 4. openings dominate everything reachable before them
+    # 4. openings dominate everything reachable before them: each row of an
+    # agent's reach lies in the cells the opening reaches and those left of
+    # it and above it (positive) or below it (negative), the opening too
     problems = []
     for side in (Side.POSITIVE, Side.NEGATIVE):
-        opening = meta.opening(side)
-        dirs = meta.sign_directions(side)
-        after = kernel.dist_from(kernel.cid(opening), dirs) if grid.is_free(opening) else None
+        opening, down = meta.opening(side), side is Side.POSITIVE
+        after = _monotone_reach(rows, opening, down) if grid.is_free(opening) else [0] * len(rows)
+        left = (1 << max(opening.col + 1, 0)) - 1  # the columns up to the opening's
+        before = range(opening.row + 1) if down else range(opening.row, len(rows))
+        outside = [~(a | left) if r in before else ~a for r, a in enumerate(after)]
         for c in clauses:
-            if c.side is not side:
+            if c.side is not side or not any(map(and_, reach[c.id], outside)):
                 continue
-            for cid in kernel.reached_from(kernel.cid(agents[c.id].start), dirs):
-                row = cid // s - 1
-                ok_row = row <= opening.row if side is Side.POSITIVE else row >= opening.row
-                if (after is None or after[cid] <= 0) and not (cid % s <= opening.col and ok_row):
-                    (cell,) = kernel.cells((cid,))
-                    problems.append(f"agent {c.id} reaches {cell}, not dominated by opening {opening}")
-                    break
+            # Name the first such cell a BFS from the start meets: it meets cells by
+            # Manhattan distance, the farther row first, as it expands UP or DOWN before RIGHT.
+            sc, sr = agents[c.id].start
+            out_rows = enumerate(map(and_, reach[c.id], outside))
+            firsts = [Cell((x & -x).bit_length() - 1, r) for r, x in out_rows if x]  # of each row
+            cell = min(firsts, key=lambda b: (abs(b.row - sr) + b.col - sc, -abs(b.row - sr)))
+            problems.append(f"agent {c.id} reaches {cell}, not dominated by opening {opening}")
     checks.append(CheckResult("opening-dominates", not problems, "; ".join(problems)))
 
     # 5. a crossable route through every clause variable's channel, all equal length
     problems = []
+    exits: dict[tuple[Cell, Side], list[int]] = {}  # the reach from each exit, per sign
     for c in clauses:
-        agent, dirs = agents[c.id], meta.sign_directions(c.side)
-        total = at(start_field(c), agent.goal)
+        agent = agents[c.id]
+        total = start_dist(c, agent.goal)
         if total is None:
             problems.append(f"agent {c.id} cannot reach its target")
             continue
@@ -812,7 +829,9 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
             exit_ = meta.exit_cell(c.side, ch)
             d2 = None
             if grid.is_free(exit_):
-                d2 = at(kernel.dist_from_avoiding(kernel.cid(exit_), dirs, ()), agent.goal)
+                if (exit_, c.side) not in exits:
+                    exits[(exit_, c.side)] = _monotone_reach(rows, exit_, c.side is Side.POSITIVE)
+                d2 = _reach_dist(exits[(exit_, c.side)], exit_, agent.goal)
             if blocked[ch] is not None:
                 problems.append(f"agent {c.id} cannot cross channel {v} at {blocked[ch]}")
             elif d1 is None or d2 is None:
@@ -827,21 +846,20 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
     problems = []
     for c in clauses:
         agent = agents[c.id]
-        blocked: list[int] = []
+        cut = rows.copy()
         for v in c.vars:
             ch = meta.channel_by_var(v)
             if ch is not None and 0 <= ch.col < grid.width:  # its rows on the grid only
-                lo, hi = max(ch.top_row, 0), min(ch.bottom_row, grid.height - 1)
-                blocked += range((lo + 1) * s + ch.col, (hi + 1) * s + ch.col + 1, s)
-        bypass = kernel.dist_from_avoiding(
-            kernel.cid(agent.start), meta.sign_directions(c.side), blocked
-        )
-        if bypass[kernel.cid(agent.goal)] >= 0:
+                lo, hi = max(ch.top_row, 0), max(min(ch.bottom_row + 1, grid.height), 0)
+                keep = ~(1 << ch.col)
+                cut[lo:hi] = [row & keep for row in cut[lo:hi]]
+        bypass = _monotone_reach(cut, agent.start, c.side is Side.POSITIVE)
+        if _reach_dist(bypass, agent.start, agent.goal) is not None:
             problems.append(f"agent {c.id} can bypass its channels")
         for ch in meta.channels:
             if ch.var in c.vars:
                 continue
-            if at(start_field(c), meta.entry_cell(c.side, ch)) is not None:
+            if start_dist(c, meta.entry_cell(c.side, ch)) is not None:
                 problems.append(f"agent {c.id} can enter foreign channel {ch.var}")
     checks.append(CheckResult("no-channel-bypass", not problems, "; ".join(problems)))
 
@@ -866,11 +884,11 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
     # distance, which no path beats: only an unreached goal needs the BFS.
     problems = []
     for c in clauses:
-        goal = agents[c.id].goal
-        d_sign = d_free = at(start_field(c), goal)
+        start, goal = agents[c.id].start, agents[c.id].goal
+        d_sign = d_free = start_dist(c, goal)
         if d_sign is None:
-            start = kernel.cid(agents[c.id].start)
-            d_free = at(kernel.dist_from_avoiding(start, FOUR_DIRECTIONS, ()), goal)
+            kernel = _GridKernel(grid)
+            d_free = kernel.at(kernel.dist_to(kernel.cid(goal), FOUR_DIRECTIONS), start)
         if d_free != d_sign:
             problems.append(
                 f"agent {c.id}: unrestricted distance {d_free} beats two-direction {d_sign}"

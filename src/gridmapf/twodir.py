@@ -43,10 +43,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
 
-from .core import AgentTask, Cell, Direction, GridMap, Instance, Solution, TimedPath
-
-# Translates a 0/1 free mask into binary digits.
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+from .core import _DIGITS, AgentTask, Cell, Direction, GridMap, Instance, Solution, TimedPath
 
 
 def diagonal_key(cell: Cell) -> int:

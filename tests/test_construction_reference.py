@@ -1,10 +1,11 @@
-"""The forward-field construction checks against the reverse-field reference.
+"""The construction checks, read off bit-row reach sweeps, against the
+reverse-field BFS reference.
 
 Report texts (name, verdict and detail of every check) must be equal on
 the corpus, on the benchmark family and its UNSAT twin, on their makespan
-variants, on seeded random flips of mask cells, which make checks
-fail in ways no compiled layout does, and on hand-edited channels that
-leave the grid.
+variants, on seeded random flips of mask cells and on many walls opened
+at once, which make checks fail in ways no compiled layout does, and on
+hand-edited channels that leave the grid.
 """
 
 import random
@@ -53,6 +54,18 @@ def test_family_and_twin(variant):
         assert assert_same_report(inst, meta).ok
 
 
+def walls(grid):
+    """The mask indices of the blocked cells beside a free one."""
+    w = grid.width
+
+    def beside_free(i):
+        col, row = i % w, i // w
+        steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
+        return any(grid.is_free(Cell(col + dc, row + dr)) for dc, dr in steps)
+
+    return [i for i, f in enumerate(grid.free) if not f and beside_free(i)]
+
+
 def flipped(instance, rng, flips):
     """``instance`` with ``flips`` mask cells toggled: free cells blocked, or
     blocked cells beside a free one opened.  Starts and goals stay free."""
@@ -60,17 +73,10 @@ def flipped(instance, rng, flips):
     w, h = grid.width, grid.height
     keep = {c.row * w + c.col for a in instance.agents for c in (a.start, a.goal)}
     free = bytearray(grid.free)
-
-    def beside_free(i):
-        col, row = i % w, i // w
-        steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
-        return any(grid.is_free(Cell(col + dc, row + dr)) for dc, dr in steps)
-
     open_ids = [i for i, f in enumerate(free) if f and i not in keep]
-    walls = [i for i, f in enumerate(free) if not f and beside_free(i)]
+    cells = walls(grid)
     for _ in range(flips):
-        cells = open_ids if rng.random() < 0.5 else walls
-        free[rng.choice(cells)] ^= 1
+        free[rng.choice(open_ids if rng.random() < 0.5 else cells)] ^= 1
     return Instance(GridMap.from_mask(w, h, free), instance.agents, instance.directions)
 
 
@@ -85,6 +91,26 @@ def test_random_mask_flips(corpus_compiled):
     # The flips reach the failure paths of every rewritten check.
     assert failing["channel-routes-equal-length"] and failing["no-channel-bypass"]
     assert failing["two-directions-suffice"]
+
+
+def test_opened_walls(corpus_compiled):
+    """5-60 blocked cells beside free ones opened per case.  An agent then
+    often reaches cells past its opening that the opening does not reach,
+    so check 4 fails and names the first such cell a BFS from the agent's
+    start meets; the few flips above almost never make it fail."""
+    rng = random.Random(20261021)
+    cases = [c for c in corpus_compiled.values() if c[0].num_agents] + list(family(5))
+    cases = [(inst, meta, walls(inst.grid)) for inst, meta in cases]
+    failing: Counter = Counter()
+    for inst, meta, closed in cases * 20:
+        grid = inst.grid
+        free = bytearray(grid.free)
+        for i in rng.sample(closed, min(rng.randint(5, 60), len(closed))):
+            free[i] = 1
+        opened = GridMap.from_mask(grid.width, grid.height, free)
+        report = assert_same_report(Instance(opened, inst.agents, inst.directions), meta)
+        failing.update(c.name for c in report.failures())
+    assert failing["opening-dominates"] >= 50
 
 
 def test_hand_edited_channels_off_the_grid(corpus_compiled):

@@ -8,20 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridmapf.core import (
+    DOWN_RIGHT,
     FOUR_DIRECTIONS,
     MOTION_DIRECTIONS,
+    UP_RIGHT,
     AgentTask,
     Cell,
     Direction,
     DirectionSet,
     GridMap,
     Instance,
+    _free_rows,
     _GridKernel,
+    _monotone_reach,
+    _reach_dist,
     lower_bound_cost,
 )
 from gridmapf.reduction import LayoutError, _walk
 
-from kernel_reference import reference_bfs, shortest_dist_field
+from kernel_reference import TableKernel, reference_bfs, shortest_dist_field
 
 #: Every non-empty subset of the four moves.
 DIRECTION_SETS = [
@@ -57,19 +62,45 @@ def grids(draw):
     return GridMap(width, height, frozenset(obstacles))
 
 
+#: The two orthogonal moves of each sign of the reduction, which the
+#: reach sweep takes in place of a BFS.
+SIGN_SETS = (DOWN_RIGHT, UP_RIGHT)
+
+
+def reach_cells(reach, source):
+    """Cell -> distance read off a reach from ``source``, for its set bits."""
+    cells = (Cell(col, row) for row, bits in enumerate(reach) for col in range(bits.bit_length()))
+    return {cell: _reach_dist(reach, source, cell) for cell in cells if reach[cell.row] >> cell.col & 1}
+
+
+def assert_reach_is_the_bfs_field(grid, rows, source, dirs):
+    """The reach from the free ``source`` over ``rows``, which mark the free
+    cells of ``grid``, against ``TableKernel``'s BFS on ``grid``: the same
+    cells, each at its Manhattan distance, and the BFS meets them by that
+    distance, the farther row first among equal ones."""
+    table = TableKernel(grid)
+    cid = table.cid(source)
+    field = table.dist_from(cid, dirs)
+    order = list(table.cells(table.reached_from(cid, dirs)))
+    got = reach_cells(_monotone_reach(rows, source, Direction.DOWN in dirs), source)
+    assert got == {cell: field[table.cid(cell)] for cell in order}
+    for (col, row), d in got.items():
+        assert d == abs(col - source.col) + abs(row - source.row)
+    assert order == sorted(order, key=lambda cell: (got[cell], -abs(cell.row - source.row)))
+
+
 def assert_fields_match(grid, dirs):
     kernel = _GridKernel(grid)
+    rows = _free_rows(grid)
     for cell in grid.free_cells():
         cid = kernel.cid(cell)
         assert as_cells(kernel, kernel.dist_to(cid, dirs)) == reference_bfs(
             grid, cell, backward(dirs)
         )
         reference = reference_bfs(grid, cell, forward(dirs))
-        from_cell = as_cells(kernel, kernel.dist_from(cid, dirs))
-        assert from_cell == reference
-        assert from_cell == as_cells(kernel, kernel.dist_to(cid, reversed_set(dirs)))
-        # Same neighbour order as the reference, so the same visiting order.
-        assert list(kernel.cells(kernel.reached_from(cid, dirs))) == list(reference)
+        assert as_cells(kernel, kernel.dist_to(cid, reversed_set(dirs))) == reference
+        if dirs in SIGN_SETS:
+            assert_reach_is_the_bfs_field(grid, rows, cell, dirs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -106,17 +137,18 @@ def test_edge_grids_match_reference_bfs(grid, dirs):
 
 @pytest.mark.parametrize("dirs", DIRECTION_SETS, ids=lambda d: d.letters)
 def test_blocked_source_reaches_only_itself(dirs):
+    """A BFS puts a blocked source into its own field at distance 0; the
+    reach sweep puts it nowhere, nor a source off the grid.  The reduction
+    sweeps from free cells only."""
     grid = border_grid()
     kernel = _GridKernel(grid)
+    rows = _free_rows(grid)
+    off_grid = [Cell(-1, 0), Cell(grid.width, 0), Cell(0, -1), Cell(0, grid.height)]
     for cell in grid.obstacles:
-        cid = kernel.cid(cell)
-        for field in (
-            kernel.dist_from(cid, dirs),
-            kernel.dist_to(cid, dirs),
-            kernel.dist_from_avoiding(cid, dirs, ()),
-        ):
-            assert as_cells(kernel, field) == {cell: 0}
-        assert kernel.reached_from(cid, dirs) == [cid]
+        assert as_cells(kernel, kernel.dist_to(kernel.cid(cell), dirs)) == {cell: 0}
+    if dirs in SIGN_SETS:
+        for cell in sorted(grid.obstacles) + off_grid:
+            assert _monotone_reach(rows, cell, Direction.DOWN in dirs) == [0] * grid.height
 
 
 def test_walk_into_a_blocked_cell_raises():
@@ -133,24 +165,50 @@ def test_walk_into_a_blocked_cell_raises():
 
 
 @settings(max_examples=100, deadline=None)
-@given(grids(), st.sampled_from(DIRECTION_SETS), st.data())
+@given(grids(), st.sampled_from(SIGN_SETS), st.data())
 def test_blocked_ids_act_as_obstacles(grid, dirs, data):
-    kernel = _GridKernel(grid)
+    """Bits cleared in a copy of the rows, as the construction checks clear
+    a clause's channels, act as obstacles; the rows copied stay as they were."""
     free = list(grid.free_cells())
     blocked = data.draw(st.sets(st.sampled_from(free)))
     pruned = GridMap(grid.width, grid.height, grid.obstacles | blocked)
-    memo = {start: kernel.dist_from(kernel.cid(start), dirs) for start in free}
+    rows = _free_rows(grid)
+    cut = rows.copy()
+    for col, row in blocked:
+        cut[row] &= ~(1 << col)
+    assert cut == _free_rows(pruned)
     for start in free:
-        field = kernel.dist_from_avoiding(kernel.cid(start), dirs, map(kernel.cid, blocked))
-        assert field is not memo[start]
+        reach = _monotone_reach(cut, start, Direction.DOWN in dirs)
         if start in blocked:
-            assert max(field) < 0
+            assert not any(reach)
         else:
-            assert as_cells(kernel, field) == reference_bfs(pruned, start, forward(dirs))
-    # The blocked search leaves the memoized fields as they were.
-    for start in free:
-        assert kernel.dist_from(kernel.cid(start), dirs) is memo[start]
-        assert as_cells(kernel, memo[start]) == reference_bfs(grid, start, forward(dirs))
+            assert reach_cells(reach, start) == reference_bfs(pruned, start, forward(dirs))
+    assert rows == _free_rows(grid)
+
+
+@st.composite
+def masks_with_a_source(draw):
+    """A random 0/1 mask up to 7x7 and a free source in it."""
+    width, height = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    free = bytearray(b & 1 for b in draw(st.binary(min_size=width * height, max_size=width * height)))
+    source = Cell(draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1)))
+    free[source.row * width + source.col] = 1
+    return GridMap.from_mask(width, height, free), source
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks_with_a_source(), st.sampled_from(SIGN_SETS), st.data())
+def test_monotone_reach_is_the_bfs_field(mask, dirs, data):
+    """The reach sweep against ``TableKernel``'s BFS, with and without
+    free cells blocked in the rows, as check 6 blocks a clause's channels."""
+    grid, source = mask
+    others = [cell for cell in grid.free_cells() if cell != source]
+    blocked = data.draw(st.sets(st.sampled_from(others))) if others else set()
+    rows = _free_rows(grid)
+    for col, row in blocked:
+        rows[row] &= ~(1 << col)
+    pruned = GridMap(grid.width, grid.height, grid.obstacles | blocked)
+    assert_reach_is_the_bfs_field(pruned, rows, source, dirs)
 
 
 @st.composite

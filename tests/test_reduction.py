@@ -274,6 +274,35 @@ class TestVerifyConstruction:
         report = verify_construction(Instance(grid, inst.agents, inst.directions), meta)
         assert failures(report) == {"no-channel-bypass": "agent 1 can bypass its channels"}
 
+    @pytest.mark.parametrize(
+        "opened, detail",
+        [
+            # Agent 1 meets (5, 28) and (3, 30) at 30 moves, DOWN before RIGHT.
+            (((5, 28), (3, 29), (3, 30)), "agent 1 reaches Cell(col=3, row=30), not dominated by "
+             "opening Cell(col=4, row=29); agent 2 reaches Cell(col=5, row=28), not dominated by "
+             "opening Cell(col=4, row=2)"),
+            # Agent 2 meets (5, 3) and (3, 1) at 30 moves, UP before RIGHT.
+            (((5, 3), (3, 2), (3, 1)), "agent 1 reaches Cell(col=5, row=3), not dominated by "
+             "opening Cell(col=4, row=29); agent 2 reaches Cell(col=3, row=1), not dominated by "
+             "opening Cell(col=4, row=2)"),
+        ],
+    )
+    def test_opening_dominates_names_the_first_cell_a_bfs_meets(self, corpus_compiled, opened, detail):
+        """Check 4.  ``two-clause-sat`` with a blocked column added on the
+        right and three walls opened: one agent reaches two cells outside
+        its opening's region at the same distance, one beyond the opening's
+        column and one beyond its row.  A BFS from the start meets the one
+        in the farther row first; row-major order or the other tie-break
+        would name the other cell."""
+        inst, meta = corpus_compiled["two-clause-sat"]
+        w, h = inst.grid.width, inst.grid.height
+        free = bytearray(b"".join(inst.grid.free[r * w : (r + 1) * w] + b"\x00" for r in range(h)))
+        for col, row in opened:
+            free[row * (w + 1) + col] = 1
+        grid = GridMap.from_mask(w + 1, h, free)
+        report = verify_construction(Instance(grid, inst.agents, inst.directions), meta)
+        assert failures(report) == {"opening-dominates": detail}
+
     def test_goal_out_of_monotone_reach_fails_two_directions(self, corpus_compiled):
         """Check 8.  No down or right move reaches agent 1's moved target,
         five moves in four directions do.  Catches ``d_free = d_sign``
