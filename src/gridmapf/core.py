@@ -168,6 +168,12 @@ class GridMap:
         validator and the solution reader of one grid share it."""
         return _framed_mask(self, -1, 0, self.width + 1, self.height)
 
+    @cached_property
+    def _columns(self) -> tuple[list[int], list[int]]:
+        """The free columns as ints, bit ``r`` for row ``r`` (``[0]``) or for
+        row ``height - 1 - r`` (``[1]``): a view of the grid, kept like ``_framed``."""
+        return _free_lines(self, columns=True), _free_lines(self, columns=True, reverse=True)
+
     def in_bounds(self, cell: Cell) -> bool:
         return 0 <= cell.col < self.width and 0 <= cell.row < self.height
 
@@ -458,12 +464,13 @@ class _GridKernel:
     public call only, so no field stays resident between calls.  The
     memoized fields are lists, read many times per cell; the bounded
     fields of ``dist_to_near`` are ``array('i')``.  Fields under two
-    orthogonal moves need no BFS: see ``_monotone_reach``.
+    orthogonal moves need no BFS: see ``_monotone_reach`` and ``_descent_field``.
     """
 
     def __init__(self, grid: GridMap) -> None:
         w, h = grid.width, grid.height
         self.width, self.height, self.stride = w, h, w + 1
+        self.grid = grid
         self.free = grid._framed
         self._steps: dict[tuple[frozenset[Direction], bool], tuple[int, ...]] = {}
         self._fields: dict[tuple[frozenset[Direction], int], list[int]] = {}
@@ -506,19 +513,27 @@ class _GridKernel:
     ) -> array[int]:
         """``dist_to(goal)``, exact on the cells that a path from ``start`` of at
         most ``bound`` moves (by default, a shortest one) can use, elsewhere
-        negative or above it, and negative everywhere without such a path: an
-        A* under the Manhattan distance closes those cells, then a reverse BFS
-        from ``goal`` runs on the cells it reached.  Not memoized.  The field
-        is a new ``array('i')``: it is grid-sized and still young when a
-        search starts allocating, and the cyclic garbage collector would
-        walk a list's slots in each gen-0 and gen-1 collection; an array
-        references no objects, so it walks none of them."""
+        negative or above it, and negative everywhere without such a path.
+        ``start`` and ``goal`` are free cells.  Not memoized.  At a bound of
+        None or the Manhattan distance d, ``_descent_field`` answers when the
+        start reaches the goal by goalward moves; if not, no path meets
+        bound d.  Otherwise an A* under the Manhattan distance closes the
+        cells a path within the bound can use, then a reverse BFS from
+        ``goal`` runs on the cells it reached.  The field is a new ``array('i')``:
+        it is grid-sized and still young when a search starts allocating,
+        and the cyclic garbage collector would walk a list's slots in each
+        gen-0 and gen-1 collection; an array references no objects, so it
+        walks none of them."""
         free, s = self.free, self.stride
         steps = self.steps(dirs)
         gcol, grow = goal % s, goal // s
+        f = abs(start % s - gcol) + abs(start // s - grow)
+        if bound is None or bound == f:
+            dist = self._descent_field(start, goal, steps)
+            if dist is not None or bound is not None:
+                return _UNSOLVED * len(free) if dist is None else dist
         dist = _UNREACHED * len(free)  # g once reached, -1 once closed
         dist[start] = 0
-        f = abs(start % s - gcol) + abs(start // s - grow)
         # A move changes f by 0 or 2, so one list per f-layer replaces a heap.
         layer, later = [start], []
         while layer and (bound is None or f <= bound):
@@ -542,6 +557,45 @@ class _GridKernel:
         for cid in layer:  # reached, not closed: searched backwards all the same
             dist[cid] = -1
         _bfs(free, self.steps(dirs, True), goal, dist)
+        return dist
+
+    def _descent_field(self, start: int, goal: int, steps: tuple[int, ...]) -> Optional[array[int]]:
+        """The Manhattan distance to ``goal`` on the start-goal box cells that
+        reach it by goalward moves, -1 elsewhere; None unless ``start`` does
+        by moves of ``steps``.  One carry sweep per box column, goal's first,
+        in the bit order of ``GridMap._columns`` that puts the goal's row
+        lowest, so that ``m + seeds`` carries away from the goal; then one
+        extended-slice write per run of the reach."""
+        s, h = self.stride, self.height
+        scol, srow, gcol, grow = start % s, start // s - 1, goal % s, goal // s - 1
+        down, toward = grow > srow, 1 if scol >= gcol else -1
+        if (gcol != scol and -toward not in steps) or (grow != srow and (s if down else -s) not in steps):
+            return None
+        lo, hi = (h - 1 - grow, h - 1 - srow) if down else (grow, srow)
+        box = (2 << hi) - (1 << lo)
+        columns = self.grid._columns[down]
+        reach, seeds = [], 1 << lo
+        for col in range(gcol, scol + toward, toward):
+            m = columns[col] & box
+            seeds &= m  # the cells entered from the column before
+            if not seeds:
+                return None
+            seeds = m & ~(m + seeds) | seeds
+            reach.append(seeds)
+        if not seeds >> hi & 1:
+            return None
+        dist = _UNSOLVED * len(self.free)
+        ramp = array("i", range(len(reach) + hi - lo))
+        # bit p of column c is the id base + c + p * step
+        base, step = (h * s, -s) if down else (s, s)
+        for k, bits in enumerate(reach):
+            at = base + gcol + k * toward
+            while bits:
+                low = bits & -bits
+                past = bits + low  # the run cleared, the bit past it set
+                a, b = low.bit_length() - 1, (past & -past).bit_length() - 1
+                dist[at + a * step : at + b * step : step] = ramp[k + a - lo : k + b - lo]
+                bits &= past
         return dist
 
 
@@ -574,10 +628,12 @@ def _bfs(free: bytes, steps: tuple[int, ...], source: int, dist: MutableSequence
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _free_rows(grid: GridMap) -> list[int]:
-    """Each grid row as an int whose bit ``c`` is set where column ``c`` is free."""
-    w, free = grid.width, grid.free
-    return [int(free[r * w : (r + 1) * w][::-1].translate(_DIGITS), 2) for r in range(grid.height)]
+def _free_lines(grid: GridMap, columns: bool = False, reverse: bool = False) -> list[int]:
+    """Each grid row (or column) as an int whose bit ``i`` is set where the
+    line's ``i``-th cell is free; with ``reverse``, bit ``len - 1 - i``."""
+    w, h, free = grid.width, grid.height, grid.free
+    lines = [free[c::w] for c in range(w)] if columns else [free[r * w : (r + 1) * w] for r in range(h)]
+    return [int((line if reverse else line[::-1]).translate(_DIGITS), 2) for line in lines]
 
 
 def _monotone_reach(rows: Sequence[int], source: Cell, down: bool) -> list[int]:

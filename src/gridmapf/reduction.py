@@ -51,7 +51,7 @@ from .core import (
     TimedPath,
     UP_RIGHT,
     _GridKernel,
-    _free_rows,
+    _free_lines,
     _monotone_reach,
     _reach_dist,
     is_individually_optimal,
@@ -533,7 +533,7 @@ def _compile_sanity(instance: Instance, meta: ReductionMetadata) -> None:
     clause (a leg crossing a deeper corridor can allow that, so a formula
     can fail here) and each of its own channels within the channel length."""
     agents = {a.id: a for a in instance.agents}
-    reach = _start_reaches(_free_rows(instance.grid), agents, meta)
+    reach = _start_reaches(_free_lines(instance.grid), agents, meta)
     for c in meta.formula.clauses:
         start = agents[c.id].start
         if _reach_dist(reach[c.id], start, agents[c.id].goal) is None:
@@ -562,7 +562,7 @@ def makespan_variant(
     """
     if meta.variant != "base":
         raise ValueError("makespan_variant starts from the base instance")
-    rows = _free_rows(instance.grid)
+    rows = _free_lines(instance.grid)
     side_of = {c.id: c.side for c in meta.formula.clauses}
     dists: dict[int, int] = {}
     for agent in instance.agents:
@@ -733,7 +733,7 @@ def verify_construction(instance: Instance, meta: ReductionMetadata) -> Construc
     agents = agents_by_clause(instance, meta)
     clauses = meta.formula.clauses
     grid = instance.grid
-    rows = _free_rows(grid)
+    rows = _free_lines(grid)
     reach = _start_reaches(rows, agents, meta)
 
     def start_dist(c: Clause, cell: Cell) -> Optional[int]:

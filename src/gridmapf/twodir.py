@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
 
-from .core import _DIGITS, AgentTask, Cell, Direction, GridMap, Instance, Solution, TimedPath
+from .core import AgentTask, Cell, Direction, Instance, Solution, TimedPath, _free_lines
 
 
 def diagonal_key(cell: Cell) -> int:
@@ -84,13 +84,6 @@ def partition_diagonals(instance: Instance) -> list[list[AgentTask]]:
     for key in sorted(groups, reverse=True):
         ordered.append(sorted(groups[key], key=lambda a: -a.start.col))
     return ordered
-
-
-def _bit_rows(grid: GridMap) -> list[int]:
-    """Each grid row as an int whose bit ``width - 1 - c`` is set where
-    column ``c`` is free."""
-    w, free = grid.width, grid.free
-    return [int(free[r * w : (r + 1) * w].translate(_DIGITS), 2) for r in range(grid.height)]
 
 
 def _reach_path(
@@ -153,7 +146,7 @@ def solve_two_dir(
     # goals of groups already planned.  Each group plans on a copy, in
     # which every path but the group's last bars its cells for the rest.
     w = instance.grid.width
-    rows = _bit_rows(instance.grid)
+    rows = _free_lines(instance.grid, reverse=True)
     found: dict[int, list[int]] = {}
     for group in partition_diagonals(instance):
         barred = rows.copy()

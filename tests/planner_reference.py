@@ -17,7 +17,7 @@ blocked cells, as the reference's peer.
 from dataclasses import dataclass
 
 from gridmapf import twodir
-from gridmapf.core import Direction, Solution, TimedPath
+from gridmapf.core import Direction, Solution, TimedPath, _free_lines
 from gridmapf.twodir import check_two_directional, partition_diagonals
 
 
@@ -51,7 +51,7 @@ def library_plan(grid, blocked, start, goal, *, stats=None):
     free = grid.is_free(start) and grid.is_free(goal)
     if not free or goal.col < start.col or goal.row < start.row:
         return None
-    w, rows = grid.width, twodir._bit_rows(grid)
+    w, rows = grid.width, _free_lines(grid, reverse=True)
     for cell in blocked:
         if grid.in_bounds(cell):
             rows[cell.row] &= ~(1 << (w - 1 - cell.col))
